@@ -56,6 +56,9 @@ SWEEP_BATCH_SIZES = [1, 8, 64, 256]
 #: Records of synthetic traffic per sweep point.
 SWEEP_RECORDS = 1536
 
+#: Sequential single-record requests behind the batch-1 overhead ratio.
+BATCH1_SEQUENTIAL_REQUESTS = 256
+
 
 def _merge_bench(updates: dict) -> None:
     """Merge ``updates`` into BENCH_serving.json, preserving other keys."""
@@ -126,6 +129,13 @@ def test_fleet_server_batch_size_sweep():
     per-size records/second go into ``BENCH_serving.json`` under
     ``batch_size_sweep``; coalesced batches must beat single-record
     submits.
+
+    It also records ``batch1_compute_vs_request_p50``: over sequential
+    single-record submits (each awaited before the next), the p50 of
+    ``fleet_batch_label_seconds`` over the p50 of
+    ``fleet_request_latency_seconds``.  The share of a lone request's
+    latency that is labeling work falls if the dispatcher ever makes an
+    idle building wait again.
     """
     labeled = generate_single_building(num_floors=3, samples_per_floor=45, seed=5)
     train, held_labeled = labeled.holdout_split(train_per_floor=30)
@@ -152,9 +162,7 @@ def test_fleet_server_batch_size_sweep():
             RecordBatch.from_records(records[start : start + batch_size], vocab=vocab)
             for start in range(0, len(records), batch_size)
         ]
-        with FleetServer(
-            registry, num_workers=4, max_batch_size=64, batch_window_s=0.002
-        ) as server:
+        with FleetServer(registry, num_workers=4, max_batch_size=64) as server:
             start_time = time.perf_counter()
             futures = [server.submit("building-0", chunk) for chunk in chunks]
             for future in futures:
@@ -162,11 +170,36 @@ def test_fleet_server_batch_size_sweep():
             elapsed = time.perf_counter() - start_time
         sweep[str(batch_size)] = len(records) / elapsed
 
-    _merge_bench({"batch_size_sweep_records": len(records), "batch_size_sweep": sweep})
+    singles = [
+        RecordBatch.from_records([record], vocab=vocab)
+        for record in records[:BATCH1_SEQUENTIAL_REQUESTS]
+    ]
+    telemetry = Telemetry()
+    with FleetServer(registry, num_workers=4, max_batch_size=64, telemetry=telemetry) as server:
+        for single in singles:
+            server.submit("building-0", single).result()
+    metrics = telemetry.metrics.snapshot()
+    compute_p50 = metrics.quantile("fleet_batch_label_seconds", 0.5, building="building-0")
+    request_p50 = metrics.quantile("fleet_request_latency_seconds", 0.5, building="building-0")
+    batch1_ratio = compute_p50 / request_p50
+
+    _merge_bench(
+        {
+            "batch_size_sweep_records": len(records),
+            "batch_size_sweep": sweep,
+            "batch1_compute_p50_s": compute_p50,
+            "batch1_request_p50_s": request_p50,
+            "batch1_compute_vs_request_p50": batch1_ratio,
+        }
+    )
 
     print(f"\nFleet server batch-size sweep ({len(records)} records):")
     for batch_size in SWEEP_BATCH_SIZES:
         print(f"  batch={batch_size:4d}: {sweep[str(batch_size)]:12.0f} records/s")
+    print(
+        f"  sequential batch-1 p50: compute {compute_p50 * 1e3:.3f} ms of "
+        f"request {request_p50 * 1e3:.3f} ms (ratio {batch1_ratio:.3f})"
+    )
 
     largest = str(SWEEP_BATCH_SIZES[-1])
     assert sweep[largest] > sweep["1"], (
@@ -496,9 +529,7 @@ def test_telemetry_overhead_under_two_percent():
         """Serving CPU seconds for one pass of the full workload."""
         registry = BuildingRegistry(config=fast_config(), telemetry=telemetry)
         registry.add_fitted("building-0", fitted)
-        with FleetServer(
-            registry, num_workers=1, max_batch_size=64, batch_window_s=0.002
-        ) as server:
+        with FleetServer(registry, num_workers=1, max_batch_size=64) as server:
             # Collect, then pause GC entirely for the measured region: in a
             # long-lived pytest process a gen-0 pass over thousands of
             # tracked objects lands mid-run and bills whichever mode drew

@@ -227,7 +227,7 @@ def main() -> None:
                       "consistent-hash routing, zero-copy mmap loads)")
             with ShardedFleetServer(
                 store, num_workers=max(args.workers, 1), config=CONFIG,
-                shard_capacity=2, batch_window_s=0.005,
+                shard_capacity=2,
                 transport=args.transport, shard_addresses=args.connect,
             ) as sharded:
                 for building_id in fleet:
@@ -242,9 +242,7 @@ def main() -> None:
             loads = sum(shard.registry.loads for shard in fleet_stats.shards)
             refits = sum(shard.registry.fits for shard in fleet_stats.shards)
         else:
-            with FleetServer(
-                serving_registry, num_workers=4, batch_window_s=0.005
-            ) as server:
+            with FleetServer(serving_registry, num_workers=4) as server:
                 endpoint = start_metrics_endpoint(
                     args.metrics_port, server.render_prometheus
                 )

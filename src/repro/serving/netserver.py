@@ -93,6 +93,11 @@ class ShardServer:
     the registry/server knobs build the same serving stack a pipe worker
     would run; ``host``/``port`` bind the listener (``port=0`` picks an
     ephemeral port, published as :attr:`port` after :meth:`start`).
+    ``inner_workers`` and ``max_batch_size`` configure the inner
+    :class:`~repro.serving.server.FleetServer`: a building with no batch
+    running is labeled at once, and requests arriving behind a running
+    batch go out together when it finishes (or on reaching
+    ``max_batch_size``), so batch size follows load with no timer.
     ``max_inflight`` bounds label requests outstanding across *all*
     connections — the server-side half of the end-to-end backpressure
     story.
@@ -111,7 +116,6 @@ class ShardServer:
         mmap: bool = True,
         inner_workers: int = 2,
         max_batch_size: int = 64,
-        batch_window_s: float = 0.002,
         keep_generations: Optional[int] = None,
         shared_prefix: Optional[str] = None,
         max_inflight: int = 64,
@@ -138,7 +142,6 @@ class ShardServer:
         self._server_kwargs = dict(
             num_workers=inner_workers,
             max_batch_size=max_batch_size,
-            batch_window_s=batch_window_s,
         )
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(shard=shard_index)
@@ -514,7 +517,6 @@ def _tcp_shard_main(connection, spec, shard_index: int, host: str) -> None:
         mmap=spec.mmap,
         inner_workers=spec.inner_workers,
         max_batch_size=spec.max_batch_size,
-        batch_window_s=spec.batch_window_s,
         keep_generations=spec.keep_generations,
         shared_prefix=spec.shared_prefix,
         max_inflight=spec.max_inflight,

@@ -68,8 +68,9 @@ class LabelRequest:
 class LabelResponse:
     """The server's answer to one :class:`LabelRequest`.
 
-    ``latency_s`` measures submit-to-completion wall time, including the
-    batching window and any lazy model fit/load the request triggered.
+    ``latency_s`` measures submit-to-completion wall time, including any
+    wait behind the building's running batch and any lazy model fit/load
+    the request triggered.
     """
 
     request_id: str

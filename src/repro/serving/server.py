@@ -8,7 +8,9 @@ buildings over a :class:`~repro.serving.registry.BuildingRegistry`:
 * a dispatcher thread drains the request queue and *coalesces concurrent
   requests per building* — one model lookup and one vectorised embedding
   pass serve many requests at once, which is where the throughput comes
-  from;
+  from.  Coalescing needs no timer: a building with no batch running is
+  flushed at once, and requests arriving while its batch runs pile up
+  into the next one;
 * per-building batches execute on a ``ThreadPoolExecutor``, so distinct
   buildings label in parallel while the registry's per-building locks keep
   cold fits single-flight;
@@ -66,12 +68,14 @@ class FleetServer:
     num_workers:
         Worker threads executing per-building batches.
     max_batch_size:
-        Maximum number of requests coalesced into one batch; a building
-        whose backlog reaches this is flushed immediately.
-    batch_window_s:
-        How long the dispatcher waits for more requests before flushing
-        whatever has accumulated.  Small windows favour latency, larger
-        windows favour batching.
+        Maximum number of requests coalesced into one batch, and the only
+        batching knob.  A building with no batch running is flushed as soon
+        as the dispatcher sees its requests, so at low load every request
+        is its own batch with no added wait.  Requests that arrive while
+        the building's batch runs pile up and go out together when it
+        finishes; a backlog that reaches ``max_batch_size`` is flushed
+        even while the previous batch still runs.  Batch size thus follows
+        load, with no timer.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink.  Defaults to the
         registry's own sink, so server request/batch metrics and registry
@@ -90,21 +94,19 @@ class FleetServer:
         registry: BuildingRegistry,
         num_workers: int = 4,
         max_batch_size: int = 64,
-        batch_window_s: float = 0.002,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if batch_window_s <= 0:
-            raise ValueError("batch_window_s must be positive")
         self.registry = registry
         self.num_workers = num_workers
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self.telemetry = telemetry if telemetry is not None else registry.telemetry
-        self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue()
+        # Requests, the stop sentinel (None), and per-building completion
+        # tokens (the building id, posted by a worker when a batch ends).
+        self._queue: "queue.Queue[Union[_Pending, str, None]]" = queue.Queue()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         # Serialises start/stop against submit, so a request can never be
@@ -385,49 +387,59 @@ class FleetServer:
     # -- dispatcher ------------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """Drain the queue, coalescing requests per building before flushing.
+        """Drain the queue and flush backlogs by the rule in the class docstring.
 
-        A backlog is flushed when it reaches ``max_batch_size``, when its
-        oldest request has waited ``batch_window_s`` (checked on every loop
-        iteration, so sustained traffic to *other* buildings cannot starve
-        a small batch), or when the queue goes idle.
+        Blocks with no timeout, then drains whatever else is queued.  After
+        the stop sentinel it keeps the same rule and exits only once no
+        backlog and no running batch remain, so every completion token is
+        consumed and a later ``start()`` finds an empty queue.
         """
         backlog: Dict[str, List[_Pending]] = {}
+        running: Dict[str, int] = {}
         stopping = False
-        while not stopping:
-            try:
-                # With nothing pending there is no deadline to honour:
-                # block until traffic (or the stop sentinel) arrives
-                # instead of waking every batch window while idle.
-                item = self._queue.get(
-                    timeout=self.batch_window_s if backlog else None
-                )
-            except queue.Empty:
-                self._flush_all(backlog)
-                continue
-            if item is None:
-                stopping = True
-            else:
-                building_backlog = backlog.setdefault(item.request.building_id, [])
-                building_backlog.append(item)
-                if len(building_backlog) >= self.max_batch_size:
-                    self._flush(item.request.building_id, backlog)
-            deadline = time.perf_counter() - self.batch_window_s
+        while not stopping or backlog or running:
+            item = self._queue.get()
+            while True:
+                if item is None:
+                    stopping = True
+                elif isinstance(item, str):
+                    running[item] -= 1
+                    if not running[item]:
+                        del running[item]
+                else:
+                    backlog.setdefault(item.request.building_id, []).append(item)
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
             for building_id in list(backlog):
-                if backlog[building_id] and backlog[building_id][0].submitted_at <= deadline:
-                    self._flush(building_id, backlog)
-        self._flush_all(backlog)
+                self._flush(building_id, backlog, running)
 
-    def _flush_all(self, backlog: Dict[str, List[_Pending]]) -> None:
-        for building_id in list(backlog):
-            self._flush(building_id, backlog)
-
-    def _flush(self, building_id: str, backlog: Dict[str, List[_Pending]]) -> None:
-        batch = backlog.pop(building_id, None)
-        if batch:
+    def _flush(
+        self,
+        building_id: str,
+        backlog: Dict[str, List[_Pending]],
+        running: Dict[str, int],
+    ) -> None:
+        pending = backlog[building_id]
+        size = self.max_batch_size
+        while len(pending) >= size or (pending and building_id not in running):
+            batch, pending = pending[:size], pending[size:]
+            running[building_id] = running.get(building_id, 0) + 1
             self._executor.submit(self._process_batch, building_id, batch)
+        if pending:
+            backlog[building_id] = pending
+        else:
+            del backlog[building_id]
 
     def _process_batch(self, building_id: str, batch: List[_Pending]) -> None:
+        """Label one batch, then post the building's completion token."""
+        try:
+            self._label_batch(building_id, batch)
+        finally:
+            self._queue.put(building_id)
+
+    def _label_batch(self, building_id: str, batch: List[_Pending]) -> None:
         """Label one coalesced per-building batch and complete its futures."""
         all_records = self._coalesce([pending.request.records for pending in batch])
         num_records = len(all_records)

@@ -324,7 +324,6 @@ class _ShardSpec:
     mmap: bool
     inner_workers: int
     max_batch_size: int
-    batch_window_s: float
     #: Artifact retention depth of each worker's registry (None = flat
     #: store); all workers share one store, so they must agree on layout.
     keep_generations: Optional[int] = None
@@ -427,7 +426,6 @@ def _shard_worker_main(connection, spec: _ShardSpec, shard_index: int = 0) -> No
         registry,
         num_workers=spec.inner_workers,
         max_batch_size=spec.max_batch_size,
-        batch_window_s=spec.batch_window_s,
     ).start()
     control_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="shard-control")
     stop_seq: Optional[int] = None
@@ -1064,8 +1062,11 @@ class ShardedFleetServer:
     max_inflight:
         Bounded per-shard label-request window; submits beyond it raise
         :class:`ShardOverloadedError` (backpressure, never unbounded queues).
-    inner_workers, max_batch_size, batch_window_s:
-        Forwarded to each worker's in-process :class:`FleetServer`.
+    inner_workers, max_batch_size:
+        Forwarded to each worker's in-process :class:`FleetServer`, which
+        flushes a building's requests at once while it has no batch
+        running and coalesces those arriving behind a running batch, up to
+        ``max_batch_size`` — batch size follows load, with no timer.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork`` (fast,
         no re-import) and falls back to ``spawn`` where fork is unavailable.
@@ -1125,7 +1126,6 @@ class ShardedFleetServer:
         max_inflight: int = 64,
         inner_workers: int = 2,
         max_batch_size: int = 64,
-        batch_window_s: float = 0.002,
         start_method: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         keep_generations: Optional[int] = None,
@@ -1203,7 +1203,6 @@ class ShardedFleetServer:
             mmap=mmap,
             inner_workers=inner_workers,
             max_batch_size=max_batch_size,
-            batch_window_s=batch_window_s,
             shared_prefix=self.shared_prefix,
             keep_generations=keep_generations,
             max_inflight=max_inflight,

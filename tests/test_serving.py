@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import queue
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.signals.dataset import SignalDataset
 from repro.signals.record import SignalRecord
 from repro.simulate import generate_single_building
 from repro.simulate.generators import generate_building_dataset
+from repro.telemetry import Telemetry
 from tests.conftest import small_building_config
 
 #: Benchmark-sized configuration for the fixture building fitted once below.
@@ -526,7 +532,7 @@ class TestFleetServer:
             )
             for i in range(6)
         ]
-        with FleetServer(registry, num_workers=2, batch_window_s=0.01) as server:
+        with FleetServer(registry, num_workers=2) as server:
             responses = server.serve(requests)
             stats = server.stats()
         assert [response.request_id for response in responses] == [
@@ -564,9 +570,9 @@ class TestFleetServer:
                 future.result(timeout=60)
 
     def test_sustained_traffic_does_not_starve_small_batches(self):
-        # A lone request for building B must flush within the batch window
-        # even while building A receives a steady sub-window request stream.
-        import threading
+        # A lone request for building B must be served promptly even while
+        # building A receives a steady request stream: A's running batches
+        # and backlog never hold back another building's flush.
         import time
 
         registry = BuildingRegistry(capacity=4, config=TINY_CONFIG)
@@ -576,7 +582,7 @@ class TestFleetServer:
         registry.get("a")
         registry.get("b")  # prefit both so only dispatch latency is measured
 
-        with FleetServer(registry, num_workers=2, batch_window_s=0.05) as server:
+        with FleetServer(registry, num_workers=2) as server:
             stop_stream = threading.Event()
 
             def stream():
@@ -594,3 +600,237 @@ class TestFleetServer:
             finally:
                 stop_stream.set()
                 streamer.join()
+
+
+#: Upper bound on any single wait in the dispatch tests.  It only turns a
+#: hang into a failure; no assertion depends on how long anything took.
+HANG_GUARD_S = 30.0
+
+RECORD = SignalRecord("r", {"aa": -50.0})
+
+
+class GatedRegistry:
+    """A registry stand-in whose ``label`` blocks on a per-building gate.
+
+    Every call is logged as ``(building_id, number of records)`` before the
+    gate is waited on, so a test sees exactly which batches the dispatcher
+    flushed, and when, without timing anything.
+    """
+
+    def __init__(self) -> None:
+        self.telemetry = Telemetry()
+        self.calls = []
+        self.gates = {}
+        self._calls_changed = threading.Condition()
+
+    def gate(self, building_id: str) -> threading.Event:
+        """Close ``building_id``'s gate; its batches block until it is set."""
+        self.gates[building_id] = threading.Event()
+        return self.gates[building_id]
+
+    def label(self, building_id, records):
+        with self._calls_changed:
+            self.calls.append((building_id, len(records)))
+            self._calls_changed.notify_all()
+        gate = self.gates.get(building_id)
+        if gate is not None:
+            # Bounded so that a failed assertion, which skips the test's
+            # gate.set(), cannot hang the server's stop() forever.
+            gate.wait(HANG_GUARD_S)
+        return [f"{building_id}:{record.record_id}" for record in records]
+
+    def wait_for_calls(self, count: int) -> None:
+        with self._calls_changed:
+            assert self._calls_changed.wait_for(
+                lambda: len(self.calls) >= count, timeout=HANG_GUARD_S
+            ), f"expected {count} label calls, saw {self.calls}"
+
+
+class ProbedQueue(queue.Queue):
+    """A dispatcher queue that reports each time the dispatcher waits on it.
+
+    The dispatcher only blocks on ``get`` once it has acted on everything it
+    drained, so a count of blocking gets tells a test when the dispatcher
+    has seen a submit and made its flush decision.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.timed_gets = 0
+        self.waits = 0
+        self._waited = threading.Condition()
+
+    def get(self, block=True, timeout=None):
+        if block:
+            with self._waited:
+                self.timed_gets += timeout is not None
+                self.waits += 1
+                self._waited.notify_all()
+        return super().get(block, timeout)
+
+    def wait_for_waits(self, count: int) -> None:
+        with self._waited:
+            assert self._waited.wait_for(lambda: self.waits >= count, timeout=HANG_GUARD_S)
+
+
+def results(futures):
+    return [future.result(timeout=HANG_GUARD_S) for future in futures]
+
+
+class TestDispatch:
+    """In-flight-gated coalescing, observed through a gated stub registry."""
+
+    def test_lone_request_on_idle_server_flushes_without_a_timer(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        server = FleetServer(registry, num_workers=2)
+        server._queue = ProbedQueue()
+        with server:
+            future = server.submit("a", [RECORD])
+            # No second arrival and no timeout: the request alone reaches
+            # the registry.
+            registry.wait_for_calls(1)
+            assert registry.calls == [("a", 1)]
+            gate.set()
+            assert len(future.result(timeout=HANG_GUARD_S).labels) == 1
+        assert server._queue.timed_gets == 0
+
+    def test_requests_behind_a_running_batch_form_one_next_batch(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        server = FleetServer(registry, num_workers=2)
+        probe = server._queue = ProbedQueue()
+        with server:
+            first = server.submit("a", [RECORD])
+            registry.wait_for_calls(1)
+            probe.wait_for_waits(2)  # one wait at start, one after the flush
+            backlog = []
+            for index in range(5):
+                # The dispatcher sits idle on an empty queue, so it sees
+                # each request in a pass of its own while the first batch
+                # still runs.
+                backlog.append(server.submit("a", [RECORD, RECORD]))
+                probe.wait_for_waits(3 + index)
+            gate.set()
+            results([first] + backlog)
+            stats = server.stats()
+        assert registry.calls == [("a", 1), ("a", 10)]
+        assert stats.num_batches == 2
+        assert stats.num_requests == 6
+
+    def test_full_backlog_flushes_while_previous_batch_runs(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        with FleetServer(registry, num_workers=3, max_batch_size=3) as server:
+            first = server.submit("a", [RECORD])
+            registry.wait_for_calls(1)
+            backlog = [server.submit("a", [RECORD]) for _ in range(7)]
+            # Two full chunks go out with the first batch still blocked; the
+            # one request left over waits for the running batches.
+            registry.wait_for_calls(3)
+            assert registry.calls == [("a", 1), ("a", 3), ("a", 3)]
+            assert not any(future.done() for future in [first] + backlog)
+            gate.set()
+            results([first] + backlog)
+            stats = server.stats()
+        assert registry.calls == [("a", 1), ("a", 3), ("a", 3), ("a", 1)]
+        assert stats.num_batches == 4
+
+    def test_blocked_building_never_delays_another(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        with FleetServer(registry, num_workers=2) as server:
+            blocked = server.submit("a", [RECORD])
+            registry.wait_for_calls(1)
+            queued = server.submit("a", [RECORD])
+            lone = server.submit("b", [RECORD])
+            assert lone.result(timeout=HANG_GUARD_S).labels == ("b:r",)
+            assert not blocked.done() and not queued.done()
+            gate.set()
+            results([blocked, queued])
+        assert registry.calls == [("a", 1), ("b", 1), ("a", 1)]
+
+    def test_concurrent_submitters_complete_every_request_once(self):
+        registry = GatedRegistry()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FleetServer(registry, num_workers=3, max_batch_size=4) as server:
+
+                def client(thread):
+                    futures = []
+                    for index in range(200):
+                        building_id, record_id = f"b{index % 3}", f"t{thread}-{index}"
+                        record = SignalRecord(record_id, {"aa": -50.0})
+                        future = server.submit(building_id, [record])
+                        futures.append((building_id, record_id, future))
+                    return [
+                        (building_id, record_id, future.result(timeout=HANG_GUARD_S).labels)
+                        for building_id, record_id, future in futures
+                    ]
+
+                with ThreadPoolExecutor(max_workers=4) as clients:
+                    outcomes = [
+                        outcome
+                        for done in [clients.submit(client, thread) for thread in range(4)]
+                        for outcome in done.result()
+                    ]
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(outcomes) == 800
+        assert all(
+            labels == (f"{building_id}:{record_id}",)
+            for building_id, record_id, labels in outcomes
+        )
+        assert stats.num_requests == 800
+        assert sum(size for _, size in registry.calls) == 800
+        assert max(size for _, size in registry.calls) <= 4
+
+
+class TestDispatchLifecycle:
+    @staticmethod
+    def stop_while_busy(server, registry, gate):
+        """Stop with one batch running and three requests queued behind it."""
+        futures = [server.submit("a", [RECORD])]
+        registry.wait_for_calls(len(registry.calls) + 1)
+        futures += [server.submit("a", [RECORD]) for _ in range(3)]
+        completions = Counter()
+        for index, future in enumerate(futures):
+            future.add_done_callback(lambda _, index=index: completions.update([index]))
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        gate.set()
+        stopper.join(timeout=HANG_GUARD_S)
+        assert not stopper.is_alive()
+        return futures, completions
+
+    def test_stop_completes_running_batch_and_backlog_exactly_once(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        server = FleetServer(registry, num_workers=2).start()
+        futures, completions = self.stop_while_busy(server, registry, gate)
+        assert all(future.done() for future in futures)
+        assert [len(future.result().labels) for future in futures] == [1, 1, 1, 1]
+        assert completions == {index: 1 for index in range(4)}
+        assert registry.calls == [("a", 1), ("a", 3)]
+        assert server.stats().num_batches == 2
+        # Every completion token was consumed before the dispatcher exited.
+        assert server._queue.empty()
+
+    def test_restart_inherits_no_completion_tokens_or_inflight_counts(self):
+        registry = GatedRegistry()
+        gate = registry.gate("a")
+        server = FleetServer(registry, num_workers=2).start()
+        self.stop_while_busy(server, registry, gate)
+        gate.clear()
+        with server.start():
+            # A stale in-flight count would hold this lone request back.
+            first = server.submit("a", [RECORD])
+            registry.wait_for_calls(3)
+            # A stale token would release part of this backlog early.
+            backlog = [server.submit("a", [RECORD]) for _ in range(2)]
+            gate.set()
+            results([first] + backlog)
+        assert registry.calls[2:] == [("a", 1), ("a", 2)]
+        assert server.stats().num_batches == 4

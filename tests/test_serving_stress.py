@@ -82,7 +82,7 @@ def test_stats_and_monitor_survive_concurrent_submit_and_refresh(tmp_path):
     errors = []
     stop_probing = threading.Event()
 
-    with FleetServer(registry, num_workers=4, batch_window_s=0.001) as server:
+    with FleetServer(registry, num_workers=4) as server:
         snapshots = []
 
         def probe():

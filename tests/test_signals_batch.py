@@ -329,11 +329,11 @@ class TestServingBatch:
         vocab = MacVocab()
         first = RecordBatch.from_records(traffic[:5], vocab=vocab)
         second = RecordBatch.from_records(traffic[5:9], vocab=vocab)
-        with FleetServer(registry, num_workers=2, batch_window_s=0.005) as server:
+        with FleetServer(registry, num_workers=2) as server:
             futures = [
                 server.submit("b0", first),
                 server.submit("b0", second),
-                server.submit("b0", traffic[9:12]),  # plain records, same window
+                server.submit("b0", traffic[9:12]),  # plain records, mixed in
             ]
             responses = [future.result() for future in futures]
         assert [label.record_id for label in responses[0].labels] == [
