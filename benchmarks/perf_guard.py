@@ -110,15 +110,8 @@ GUARDED_METRICS: Sequence[GuardedMetric] = (
     GuardedMetric(
         "BENCH_capacity.json", "capacity_rps_margin", ("capacity_rps_margin",)
     ),
-    # Training engine: bincount scatter over np.add.at, the fused per-step
-    # bundle over the seed's dense sweep, and the shared-memory store's
-    # per-worker RSS saving at 4 workers (1 - shared/private, higher-better).
-    GuardedMetric(
-        "BENCH_training.json", "feature_scatter_speedup", ("feature_scatter_speedup",)
-    ),
-    GuardedMetric(
-        "BENCH_training.json", "fused_step_speedup", ("fused_step_speedup",)
-    ),
+    # Training engine: the shared-memory store's per-worker RSS saving at
+    # 4 workers (1 - shared/private, higher-better).
     GuardedMetric(
         "BENCH_training.json",
         "rss_reduction_at_4_workers",

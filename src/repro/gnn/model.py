@@ -121,10 +121,9 @@ class SampledTree:
     """The K-level neighbourhood tree of one minibatch.
 
     Produced by :meth:`RFGNN.sample_tree` (which consumes sampler RNG) and
-    consumed by :meth:`RFGNN.forward_from_tree` (pure arithmetic).  Splitting
-    the two lets a caller inspect ``layer_nodes[0]`` — every node row the
-    forward pass will read — *between* sampling and arithmetic, which is what
-    the sparse-lazy optimizer needs to catch stale rows up first.
+    consumed by :meth:`RFGNN.forward_from_tree` (pure arithmetic).
+    ``layer_nodes[0]`` lists every node row the forward pass reads, with
+    repeats: one entry per tree occurrence.
     """
 
     targets: np.ndarray
@@ -304,7 +303,7 @@ class RFGNN:
 
         # Bottom-up aggregation.
         hidden: List[np.ndarray] = [None] * (config.num_hops + 1)  # type: ignore[list-item]
-        hidden[0] = self.node_features[layer_nodes[0]]
+        hidden[0] = np.take(self.node_features, layer_nodes[0], axis=0)
         cache.concatenated = [None] * (config.num_hops + 1)  # type: ignore[list-item]
         cache.pre_activation = [None] * (config.num_hops + 1)  # type: ignore[list-item]
         cache.activated = [None] * (config.num_hops + 1)  # type: ignore[list-item]
@@ -315,12 +314,13 @@ class RFGNN:
             previous = hidden[k - 1]
             h_self = previous[:num_parents]
             h_neighbors = previous[num_parents:].reshape(num_parents, sample_size, -1)
-            coeff = coefficients[k][:, :, None]
-            aggregated = (coeff * h_neighbors).sum(axis=1)
+            # Contract over the sample axis without a (P, S, d) product.
+            aggregated = np.einsum("ps,psd->pd", coefficients[k], h_neighbors)
             concatenated = np.concatenate([h_self, aggregated], axis=1)
             pre_activation = concatenated @ self.weights[k - 1]
             activated = self.activation.forward(pre_activation)
-            norms = np.maximum(np.linalg.norm(activated, axis=1, keepdims=True), 1e-12)
+            norms = np.sqrt(np.einsum("pd,pd->p", activated, activated))[:, None]
+            np.maximum(norms, 1e-12, out=norms)
             hidden[k] = activated / norms
             cache.concatenated[k] = concatenated
             cache.pre_activation[k] = pre_activation
@@ -332,25 +332,23 @@ class RFGNN:
 
     # -- backward ----------------------------------------------------------------
 
-    def backward(
-        self, grad_embeddings: np.ndarray, compact_features: bool = False
-    ) -> Optional[tuple]:
-        """Backpropagate a gradient w.r.t. the last forward() output into the W_k.
+    def backward(self, grad_embeddings: np.ndarray) -> None:
+        """Backpropagate a gradient w.r.t. the last forward() output.
+
+        Accumulates into ``weight_grads`` and, when the initial
+        representations are trainable, into the dense ``feature_grads``.
+        The bottom hop never materialises the gradient of its ``(M, d)``
+        input level: it writes the self and neighbour parts into one
+        transposed ``(d, M)`` buffer and scatters each column into
+        ``feature_grads`` with one ``np.bincount`` over the level-0 node
+        ids.  Every destination row sums its entries in tree order, exactly
+        like ``np.add.at`` on the repeated tree nodes.
 
         Parameters
         ----------
         grad_embeddings:
             Array of shape ``(batch, embedding_dim)`` — dLoss/dEmbedding for
             the targets passed to the last :meth:`forward` call.
-        compact_features:
-            When ``True``, the initial-representation gradient is *returned*
-            as ``(rows, grads)`` — sorted unique node ids plus their summed
-            gradient rows — instead of being scattered into the dense
-            ``feature_grads`` matrix.  This is the sparse-optimizer hot path:
-            a 512-pair batch touches a few thousand rows, so materialising
-            (and later re-zeroing) the full ``(num_nodes, input_dim)`` matrix
-            is pure waste.  The per-row sums accumulate entries in tree
-            order, exactly like ``np.add.at`` into a zeroed matrix.
         """
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
@@ -358,70 +356,51 @@ class RFGNN:
         config = cache.config if cache.config is not None else self.config
         grad_hidden = np.asarray(grad_embeddings, dtype=np.float64)
         for k in range(config.num_hops, 0, -1):
-            # Undo the L2 normalisation: y = a / ||a||.
+            # Undo the L2 normalisation: y = a / ||a||.  One array carries
+            # the gradient through normalisation and activation in place.
             normalized = cache.hidden[k]
-            norms = cache.norms[k]
-            dot = np.sum(grad_hidden * normalized, axis=1, keepdims=True)
-            grad_activated = (grad_hidden - normalized * dot) / norms
+            dot = np.einsum("pd,pd->p", grad_hidden, normalized)[:, None]
+            grad_pre = normalized * dot
+            np.subtract(grad_hidden, grad_pre, out=grad_pre)
+            grad_pre /= cache.norms[k]
             # Activation.
-            grad_pre = grad_activated * self.activation.backward(
-                cache.pre_activation[k], cache.activated[k]
-            )
+            grad_pre *= self.activation.backward(cache.pre_activation[k], cache.activated[k])
             # Linear map.
             self.weight_grads[k - 1] += cache.concatenated[k].T @ grad_pre
+            if k == 1 and not config.train_node_features:
+                break  # frozen r^0: nothing below the bottom weights
             grad_concat = grad_pre @ self.weights[k - 1].T
-            # Split into self part and aggregated-neighbourhood part.
+            # Split into self part and aggregated-neighbourhood part; the
+            # aggregated gradient reaches neighbour s of parent p scaled by
+            # its coefficient.
             previous_dim = cache.hidden[k - 1].shape[1]
             grad_self = grad_concat[:, :previous_dim]
             grad_aggregated = grad_concat[:, previous_dim:]
-            # Distribute the aggregated gradient over the sampled neighbours.
-            sample_size = config.neighbor_sample_sizes[config.num_hops - k]
-            coeff = cache.coefficients[k][:, :, None]
-            grad_neighbors = coeff * grad_aggregated[:, None, :]
-            # Assemble the gradient of the level-(k-1) hidden matrix.
-            num_parents = cache.layer_nodes[k].shape[0]
-            grad_previous = np.zeros_like(cache.hidden[k - 1])
-            grad_previous[:num_parents] += grad_self
-            grad_previous[num_parents:] += grad_neighbors.reshape(-1, previous_dim)
-            grad_hidden = grad_previous
-        # Level 0 holds the initial node representations r^0; scatter the
-        # remaining gradient into their rows when they are trainable.
-        result = None
-        if config.train_node_features:
-            rows, grads = self._compact_feature_grads(cache.layer_nodes[0], grad_hidden)
-            if compact_features:
-                result = (rows, grads)
-            else:
-                # Equivalent to np.add.at on the repeated tree nodes (the
-                # bincount sums each row's entries in the same order), an
-                # order of magnitude faster at ufunc.at-sized workloads.
-                self.feature_grads[rows] += grads
+            coeff = cache.coefficients[k]
+            num_parents, sample_size = coeff.shape
+            if k > 1:
+                grad_hidden = np.empty_like(cache.hidden[k - 1])
+                grad_hidden[:num_parents] = grad_self
+                np.multiply(
+                    coeff[:, :, None],
+                    grad_aggregated[:, None, :],
+                    out=grad_hidden[num_parents:].reshape(num_parents, sample_size, -1),
+                )
+                continue
+            level0 = cache.layer_nodes[0]
+            buffer = np.empty((previous_dim, level0.shape[0]))
+            buffer[:, :num_parents] = grad_self.T
+            np.multiply(
+                grad_aggregated.T[:, :, None],
+                coeff[None],
+                out=buffer[:, num_parents:].reshape(previous_dim, num_parents, sample_size),
+            )
+            num_nodes = self.feature_grads.shape[0]
+            for column in range(previous_dim):
+                self.feature_grads[:, column] += np.bincount(
+                    level0, weights=buffer[column], minlength=num_nodes
+                )
         self._cache = None
-        return result
-
-    def _compact_feature_grads(
-        self, level0_nodes: np.ndarray, grad_hidden: np.ndarray
-    ) -> tuple:
-        """Sum per-node feature gradients without touching the dense matrix.
-
-        Returns ``(rows, grads)`` where ``rows`` is the sorted unique node
-        ids of the tree's bottom level and ``grads[i]`` the summed gradient
-        of ``rows[i]``.  A flattened-composite ``np.bincount`` accumulates
-        per destination in input order — the same additions, in the same
-        order, as ``np.add.at`` performs on a zeroed dense matrix.
-        """
-        flags = np.zeros(self.node_features.shape[0], dtype=bool)
-        flags[level0_nodes] = True
-        rows = np.flatnonzero(flags)
-        lookup = np.empty(self.node_features.shape[0], dtype=np.int64)
-        lookup[rows] = np.arange(rows.shape[0], dtype=np.int64)
-        inverse = lookup[level0_nodes]
-        dim = grad_hidden.shape[1]
-        flat_keys = inverse[:, None] * dim + np.arange(dim, dtype=np.int64)[None, :]
-        grads = np.bincount(
-            flat_keys.ravel(), weights=grad_hidden.ravel(), minlength=rows.shape[0] * dim
-        ).reshape(rows.shape[0], dim)
-        return rows, grads
 
     # -- inference ------------------------------------------------------------------
 

@@ -7,8 +7,13 @@ Each epoch the trainer:
 2. draws ``tau`` negative nodes per pair from ``Pr(z) ∝ degree^{3/4}``,
 3. embeds the unique nodes of each minibatch with :class:`RFGNN.forward`,
 4. evaluates the negative-sampling loss, scatters its gradients back onto the
-   minibatch embeddings, and backpropagates into the ``W_k`` matrices,
-5. takes an Adam step.
+   minibatch embeddings, and backpropagates into the ``W_k`` matrices and the
+   node features,
+5. clips the global gradient norm and takes a dense Adam step.
+
+The unique nodes of every full batch are found in one sorting sweep per
+epoch, and every gradient scatter is an ``np.bincount`` that sums each
+destination's entries in input order (the result ``np.add.at`` gives).
 
 ``fit()`` returns the final embeddings of *all* nodes (MACs and samples).
 """
@@ -26,7 +31,6 @@ from repro.graph.csr import AnyGraph
 from repro.graph.negative_sampling import NegativeSampler
 from repro.graph.walks import RandomWalkGenerator, WalkConfig
 from repro.nn.optimizers import Adam, clip_gradients
-from repro.nn.sparse import SparseAdam
 
 
 @dataclass
@@ -89,14 +93,6 @@ class RFGNNTrainer:
         ``W_k`` matrices and/or node features from a previous fit instead of
         the cold random initialisation — the incremental-refresh path trains
         a few fine-tune epochs from here rather than from scratch.
-    fused:
-        Use the fused hot path (default): per-epoch batch-tensor
-        deduplication, flattened-``bincount`` gradient scatters, and a
-        row-sparse lazy :class:`~repro.nn.sparse.SparseAdam` over the node
-        features.  ``False`` runs the straightforward per-batch reference
-        implementation with dense :class:`~repro.nn.optimizers.Adam`.  Both
-        paths produce bit-identical parameters, losses, and embeddings
-        (asserted by ``tests/test_fused_trainer.py``).
     """
 
     def __init__(
@@ -112,7 +108,6 @@ class RFGNNTrainer:
         grad_clip_norm: float = 5.0,
         seed: int = 0,
         init_params: Optional[RFGNNInitParams] = None,
-        fused: bool = True,
     ) -> None:
         if num_epochs < 1:
             raise ValueError("num_epochs must be >= 1")
@@ -135,102 +130,37 @@ class RFGNNTrainer:
         self.max_pairs_per_epoch = max_pairs_per_epoch
         self.grad_clip_norm = grad_clip_norm
         self._rng = np.random.default_rng(seed + 3)
-        self.fused = fused
-        if fused:
-            self.optimizer: Adam = SparseAdam(
-                self.model.parameters(),
-                self.model.gradients(),
-                lr=learning_rate,
-                sparse_keys=("features",),
-            )
-        else:
-            self.optimizer = Adam(
-                self.model.parameters(), self.model.gradients(), lr=learning_rate
-            )
+        self.optimizer = Adam(self.model.parameters(), self.model.gradients(), lr=learning_rate)
         self.history = TrainingHistory()
         self._frozen_encoders: dict = {}
 
     # -- single training step -----------------------------------------------------
 
-    def _train_batch(self, pairs: np.ndarray, negatives: np.ndarray) -> float:
-        """One gradient step on a batch of positive pairs plus their negatives."""
-        batch = pairs.shape[0]
-        flat_negatives = negatives.reshape(-1)
-        all_nodes = np.concatenate([pairs[:, 0], pairs[:, 1], flat_negatives])
-        unique_nodes, inverse = np.unique(all_nodes, return_inverse=True)
-        embeddings = self.model.forward(unique_nodes)
-
-        target_index = inverse[:batch]
-        context_index = inverse[batch : 2 * batch]
-        negative_index = inverse[2 * batch :].reshape(batch, self.negatives_per_pair)
-
-        loss, grad_target, grad_context, grad_negative = negative_sampling_loss(
-            embeddings[target_index],
-            embeddings[context_index],
-            embeddings[negative_index],
-        )
-
-        grad_embeddings = np.zeros_like(embeddings)
-        np.add.at(grad_embeddings, target_index, grad_target)
-        np.add.at(grad_embeddings, context_index, grad_context)
-        np.add.at(
-            grad_embeddings,
-            negative_index.reshape(-1),
-            grad_negative.reshape(-1, grad_negative.shape[-1]),
-        )
-
-        self.optimizer.zero_grad()
-        self.model.backward(grad_embeddings)
-        clip_gradients(self.model.gradients(), self.grad_clip_norm)
-        self.optimizer.step()
-        return loss
-
-    def _train_batch_fused(
+    def _train_batch(
         self,
         unique_nodes: np.ndarray,
         target_index: np.ndarray,
         context_index: np.ndarray,
         negative_index: np.ndarray,
     ) -> float:
-        """One fused gradient step on pre-deduplicated batch tensors.
+        """One gradient step on a batch's deduplicated tensors.
 
-        Differences to :meth:`_train_batch`, none of which change a single
-        output bit (asserted by ``tests/test_fused_trainer.py``):
-
-        * the ``np.unique`` dedup already happened, once, for the whole epoch;
-        * the three ``np.add.at`` scatters collapse into one flattened
-          ``np.bincount`` (which sums per destination in the same order);
-        * stale feature rows are lazily caught up between tree sampling and
-          the forward gathers, and the feature gradient flows compactly into
-          :meth:`SparseAdam.step <repro.nn.sparse.SparseAdam.step>` without
-          ever materialising the dense ``(num_nodes, input_dim)`` matrix.
+        ``unique_nodes`` are the batch's distinct nodes; the three index
+        arrays locate each pair's target, context and negatives in them.
         """
         model = self.model
-        tree = model.sample_tree(unique_nodes)
-        if model.config.train_node_features:
-            # The forward pass reads every bottom-level row; lazily deferred
-            # rows must reach their exact dense-Adam state first.
-            flags = np.zeros(model.node_features.shape[0], dtype=bool)
-            flags[tree.layer_nodes[0]] = True
-            self.optimizer.catch_up("features", np.flatnonzero(flags))
-        embeddings = model.forward_from_tree(tree)
-
+        embeddings = model.forward(unique_nodes)
         loss, grad_target, grad_context, grad_negative = negative_sampling_loss(
             embeddings[target_index],
             embeddings[context_index],
             embeddings[negative_index],
         )
-
-        # One flattened-composite bincount replaces the three np.add.at
-        # scatters: destinations ordered [targets, contexts, negatives], the
-        # same per-row accumulation order as the sequential add.at calls.
+        # One flattened-composite bincount for the three scatters:
+        # destinations ordered [targets, contexts, negatives], the per-row
+        # accumulation order of three sequential np.add.at calls.
         dim = embeddings.shape[1]
-        keys = np.concatenate(
-            [target_index, context_index, negative_index.reshape(-1)]
-        )
-        rows = np.concatenate(
-            [grad_target, grad_context, grad_negative.reshape(-1, dim)]
-        )
+        keys = np.concatenate([target_index, context_index, negative_index.reshape(-1)])
+        rows = np.concatenate([grad_target, grad_context, grad_negative.reshape(-1, dim)])
         flat_keys = keys[:, None] * dim + np.arange(dim, dtype=np.int64)[None, :]
         grad_embeddings = np.bincount(
             flat_keys.ravel(),
@@ -239,19 +169,10 @@ class RFGNNTrainer:
         ).reshape(unique_nodes.shape[0], dim)
 
         self.optimizer.zero_grad()
-        compact = model.backward(grad_embeddings, compact_features=True)
-        clip_gradients(
-            self._dense_weight_grads(),
-            self.grad_clip_norm,
-            extra_arrays=None if compact is None else [compact[1]],
-        )
-        sparse_grads = {} if compact is None else {"features": compact}
-        self.optimizer.step(sparse_grads=sparse_grads)
+        model.backward(grad_embeddings)
+        clip_gradients(model.gradients(), self.grad_clip_norm)
+        self.optimizer.step()
         return loss
-
-    def _dense_weight_grads(self):
-        """Gradient groups excluding the sparsely-updated feature matrix."""
-        return [group for group in self.model.gradients() if "features" not in group]
 
     # -- epoch / fit ----------------------------------------------------------------
 
@@ -319,19 +240,10 @@ class RFGNNTrainer:
         negatives = self.negative_sampler.sample_for_pairs(
             pairs.shape[0], self.negatives_per_pair
         )
-        losses: List[float] = []
-        if self.fused:
-            for batch_tensors in self._epoch_batch_tensors(pairs, negatives):
-                losses.append(self._train_batch_fused(*batch_tensors))
-            # Deferred rows must reach their dense state before anything
-            # reads the full feature matrix (inference embeddings, frozen
-            # snapshots, next-fit warm starts).
-            self.optimizer.flush()
-        else:
-            for start in range(0, pairs.shape[0], self.batch_size):
-                batch_pairs = pairs[start : start + self.batch_size]
-                batch_negatives = negatives[start : start + self.batch_size]
-                losses.append(self._train_batch(batch_pairs, batch_negatives))
+        losses = [
+            self._train_batch(*batch_tensors)
+            for batch_tensors in self._epoch_batch_tensors(pairs, negatives)
+        ]
         epoch_loss = float(np.mean(losses))
         self.history.epoch_losses.append(epoch_loss)
         self._frozen_encoders.clear()  # weights moved; cached snapshots are stale

@@ -8,24 +8,15 @@ in place so that layers keep referencing the same arrays.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 ParamGroup = Dict[str, np.ndarray]
 
 
-def clip_gradients(
-    grad_groups: List[ParamGroup],
-    max_norm: float,
-    extra_arrays: Optional[List[np.ndarray]] = None,
-) -> float:
+def clip_gradients(grad_groups: List[ParamGroup], max_norm: float) -> float:
     """Clip the global L2 norm of all gradients to ``max_norm`` (in place).
-
-    ``extra_arrays`` participate in the global norm and get scaled alongside
-    the groups — the sparse-training path passes its compact per-row feature
-    gradients here, which contribute the same squared sum the zero-padded
-    dense matrix would.
 
     Returns the pre-clipping global norm.
     """
@@ -37,19 +28,12 @@ def clip_gradients(
             # BLAS dot on the raveled view: no grad*grad temporary.
             flat = np.ravel(grad)
             total += float(np.dot(flat, flat))
-    if extra_arrays:
-        for array in extra_arrays:
-            flat = np.ravel(array)
-            total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for group in grad_groups:
             for grad in group.values():
                 grad *= scale
-        if extra_arrays:
-            for array in extra_arrays:
-                array *= scale
     return norm
 
 
@@ -146,44 +130,34 @@ class Adam(Optimizer):
         ]
 
     def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for group_index, (param_group, grad_group) in enumerate(zip(self.params, self.grads)):
-            for key, param in param_group.items():
-                self._update_dense(group_index, key, param, grad_group[key], bias1, bias2)
-
-    def _update_dense(
-        self,
-        group_index: int,
-        key: str,
-        param: np.ndarray,
-        grad: np.ndarray,
-        bias1: float,
-        bias2: float,
-    ) -> None:
-        """One Adam update on a full parameter array, using scratch buffers.
+        """One Adam update of every parameter, using the scratch buffers.
 
         Every elementwise operation runs in the same order as the classic
         ``m_hat = m / bias1; param -= lr * m_hat / (sqrt(v_hat) + eps)``
         formulation, so results are bit-identical — only the temporaries are
         reused instead of reallocated.
         """
-        m = self._m[group_index][key]
-        v = self._v[group_index][key]
-        sm = self._scratch_m[group_index][key]
-        sv = self._scratch_v[group_index][key]
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=sm)
-        m += sm
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=sv)
-        sv *= grad
-        v += sv
-        np.divide(m, bias1, out=sm)  # m_hat
-        np.divide(v, bias2, out=sv)  # v_hat
-        np.sqrt(sv, out=sv)
-        sv += self.eps
-        sm *= self.lr
-        sm /= sv
-        param -= sm
+        self._step_count += 1
+        bias1 = 1.0 - self.beta1**self._step_count
+        bias2 = 1.0 - self.beta2**self._step_count
+        for group_index, (param_group, grad_group) in enumerate(zip(self.params, self.grads)):
+            for key, param in param_group.items():
+                grad = grad_group[key]
+                m = self._m[group_index][key]
+                v = self._v[group_index][key]
+                sm = self._scratch_m[group_index][key]
+                sv = self._scratch_v[group_index][key]
+                m *= self.beta1
+                np.multiply(grad, 1.0 - self.beta1, out=sm)
+                m += sm
+                v *= self.beta2
+                np.multiply(grad, 1.0 - self.beta2, out=sv)
+                sv *= grad
+                v += sv
+                np.divide(m, bias1, out=sm)  # m_hat
+                np.divide(v, bias2, out=sv)  # v_hat
+                np.sqrt(sv, out=sv)
+                sv += self.eps
+                sm *= self.lr
+                sm /= sv
+                param -= sm

@@ -252,6 +252,82 @@ class TestModel:
         assert {"features"} not in names
 
 
+def reference_feature_grads(model, grad_embeddings):
+    """Oracle for the level-0 feature gradient of the last forward pass.
+
+    Materialises the gradient of every tree level row by row, then scatters
+    the bottom level with ``np.add.at``.  The arithmetic above the scatter
+    mirrors :meth:`RFGNN.backward` op for op, so the two must agree bit for
+    bit: ``backward`` sums each destination's entries in tree order too.
+    """
+    cache = model._cache
+    config = cache.config
+    grad_hidden = grad_embeddings
+    for k in range(config.num_hops, 0, -1):
+        normalized = cache.hidden[k]
+        dot = np.einsum("pd,pd->p", grad_hidden, normalized)[:, None]
+        grad_activated = (grad_hidden - normalized * dot) / cache.norms[k]
+        grad_pre = grad_activated * model.activation.backward(
+            cache.pre_activation[k], cache.activated[k]
+        )
+        grad_concat = grad_pre @ model.weights[k - 1].T
+        dim = cache.hidden[k - 1].shape[1]
+        grad_neighbors = cache.coefficients[k][:, :, None] * grad_concat[:, None, dim:]
+        grad_hidden = np.concatenate([grad_concat[:, :dim], grad_neighbors.reshape(-1, dim)])
+    expected = np.zeros_like(model.node_features)
+    np.add.at(expected, cache.layer_nodes[0], grad_hidden)
+    return expected
+
+
+class TestFeatureGradientScatter:
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "uniform"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_backward_matches_add_at_oracle(self, small_building_dataset, attention, seed):
+        graph = BipartiteGraph.from_dataset(small_building_dataset)
+        config = RFGNNConfig(
+            embedding_dim=6, input_dim=5, neighbor_sample_sizes=(4, 3), attention=attention
+        )
+        model = RFGNN(graph, config, seed=seed)
+        rng = np.random.default_rng(seed)
+        targets = np.unique(rng.integers(0, graph.num_nodes, size=40))
+        model.forward(targets)
+        level0 = model._cache.layer_nodes[0]
+        num_parents = model._cache.layer_nodes[1].shape[0]
+        # Nodes repeat at the bottom level, as self and as neighbour.
+        assert np.intersect1d(level0[:num_parents], level0[num_parents:]).size > 0
+        assert np.unique(level0[num_parents:]).size < level0.shape[0] - num_parents
+        grad_embeddings = rng.standard_normal((targets.shape[0], config.embedding_dim))
+        expected = reference_feature_grads(model, grad_embeddings)
+        model.zero_grad()
+        model.backward(grad_embeddings)
+        assert np.array_equal(model.feature_grads, expected)
+        assert np.any(expected != 0.0)
+
+    def test_one_hop_tree(self, tiny_graph):
+        config = RFGNNConfig(embedding_dim=4, num_hops=1, neighbor_sample_sizes=(3,))
+        model = RFGNN(tiny_graph, config, seed=4)
+        targets = np.arange(tiny_graph.num_nodes)
+        model.forward(targets)
+        grad_embeddings = np.random.default_rng(4).standard_normal((targets.shape[0], 4))
+        expected = reference_feature_grads(model, grad_embeddings)
+        model.zero_grad()
+        model.backward(grad_embeddings)
+        assert np.array_equal(model.feature_grads, expected)
+
+    def test_frozen_features_leave_feature_grads_untouched(self, small_building_dataset):
+        graph = BipartiteGraph.from_dataset(small_building_dataset)
+        config = RFGNNConfig(
+            embedding_dim=6, neighbor_sample_sizes=(4, 3), train_node_features=False
+        )
+        model = RFGNN(graph, config, seed=3)
+        model.forward(np.arange(30))
+        sentinel = np.full_like(model.feature_grads, 7.0)
+        model.feature_grads[...] = sentinel
+        model.backward(np.ones((30, config.embedding_dim)))
+        assert np.array_equal(model.feature_grads, sentinel)
+        assert all(np.any(grad != 0.0) for grad in model.weight_grads)
+
+
 class TestTrainer:
     def test_training_reduces_loss(self, small_building_dataset):
         graph = BipartiteGraph.from_dataset(small_building_dataset)

@@ -37,7 +37,7 @@ GOLDEN_CLUSTER_ORDER = [0, 1, 2]
 #: across NumPy builds/CPU kernels the BLAS dispatch may differ by ULPs, so
 #: the hash is only asserted when the running NumPy matches the recording.
 GOLDEN_EMBEDDINGS_SHA256 = (
-    "2b108dd967cb20fa252682dae541da218811d062bf9186b794d6568faa04196c"
+    "d9798f3d754ede06d42dee6dc39624d61b533010ebd1f4b0f8eedc379f176640"
 )
 GOLDEN_NUMPY_VERSION = "2.4"
 
