@@ -69,6 +69,10 @@ GUARDED_METRICS: Sequence[GuardedMetric] = (
     GuardedMetric(
         "BENCH_serving.json", "sharded_speedup_4w_vs_1w", ("sharded_speedup_4w_vs_1w",)
     ),
+    # Cache misses: one shard worker thrashing 8 buildings through 2 LRU
+    # slots vs the same worker holding all 8 hot, on the same trace.  Falls
+    # when an artifact load (the miss path) gets dearer.
+    GuardedMetric("BENCH_serving.json", "thrash_vs_hot_1w", ("thrash_vs_hot_1w",)),
     # Network transport: loopback TCP must stay within striking distance of
     # the pipe transport at 4 workers (the zero-copy binary framing is what
     # keeps the socket path's tax down).

@@ -268,6 +268,10 @@ def test_sharded_worker_count_sweep(tmp_path):
     across worker counts (sharding must not change results), and 4 workers
     must deliver at least :data:`MIN_SHARDED_SPEEDUP` the aggregate
     records/second of 1.
+
+    One more 1-worker pass holds the whole fleet in its cache, so the
+    thrashing 1-worker rate over this hot rate (``thrash_vs_hot_1w``) is
+    what artifact loads on cache misses cost, measured in the same run.
     """
     config = _sharded_config()
     store = tmp_path / "fleet-store"
@@ -297,10 +301,8 @@ def test_sharded_worker_count_sweep(tmp_path):
     )
     num_records = sum(len(request.records) for request in traffic)
 
-    sweep = {}
-    rejections = {}
-    labels_by_workers = {}
-    for workers in WORKER_SWEEP:
+    def replay(workers, shard_capacity):
+        """(records/s, rejections, labels) of one pass over the trace."""
         with ShardedFleetServer(
             store,
             num_workers=workers,
@@ -308,7 +310,7 @@ def test_sharded_worker_count_sweep(tmp_path):
             # The sweep measures labeling, not refresh material collection:
             # a small buffer keeps per-request bookkeeping off the hot path.
             refresh_policy=RefreshPolicy(buffer_size=8),
-            shard_capacity=SHARDED_SWEEP_CAPACITY,
+            shard_capacity=shard_capacity,
             max_inflight=8,
             inner_workers=2,
         ) as server:
@@ -316,15 +318,24 @@ def test_sharded_worker_count_sweep(tmp_path):
             futures, num_rejected = replay_traffic(server.submit, traffic)
             responses = [future.result(timeout=600) for future in futures]
             elapsed = time.perf_counter() - start_time
-        sweep[str(workers)] = num_records / elapsed
-        rejections[str(workers)] = num_rejected
-        labels_by_workers[workers] = [
+        labels = [
             (label.record_id, label.floor, label.confidence, label.known_mac_fraction)
             for response in responses
             for label in response.labels
         ]
+        return num_records / elapsed, num_rejected, labels
+
+    sweep = {}
+    rejections = {}
+    labels_by_workers = {}
+    for workers in WORKER_SWEEP:
+        sweep[str(workers)], rejections[str(workers)], labels_by_workers[workers] = replay(
+            workers, SHARDED_SWEEP_CAPACITY
+        )
+    hot_1w, _, hot_labels = replay(1, len(SHARDED_FLEET_IDS))
 
     speedup = sweep[str(WORKER_SWEEP[-1])] / sweep["1"]
+    thrash_vs_hot = sweep["1"] / hot_1w
     _merge_bench(
         {
             "worker_sweep_records": num_records,
@@ -333,6 +344,8 @@ def test_sharded_worker_count_sweep(tmp_path):
             "worker_sweep": sweep,
             "worker_sweep_rejections": rejections,
             "sharded_speedup_4w_vs_1w": speedup,
+            "worker_sweep_hot_1w": hot_1w,
+            "thrash_vs_hot_1w": thrash_vs_hot,
         }
     )
 
@@ -346,12 +359,15 @@ def test_sharded_worker_count_sweep(tmp_path):
             f"  workers={workers}: {sweep[str(workers)]:10.0f} records/s   "
             f"(backpressure rejections: {rejections[str(workers)]})"
         )
+    print(f"  workers=1, whole fleet hot: {hot_1w:10.0f} records/s")
+    print(f"  1w thrash vs hot: {thrash_vs_hot:.2f}")
     print(f"  4w vs 1w: {speedup:.2f}x   (written to {BENCH_OUTPUT.name})")
 
     for workers in WORKER_SWEEP[1:]:
         assert labels_by_workers[workers] == labels_by_workers[1], (
             f"labels at {workers} workers differ from the single-worker labels"
         )
+    assert hot_labels == labels_by_workers[1], "a hot cache changed the labels"
     assert speedup >= MIN_SHARDED_SPEEDUP, (
         f"4 workers delivered only {speedup:.2f}x the single-worker throughput"
     )

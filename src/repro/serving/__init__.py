@@ -4,7 +4,8 @@ Everything the seed's batch pipeline lacked for production traffic:
 
 * :mod:`~repro.serving.artifacts` — versioned save/load of a fitted
   pipeline (GNN weights, MAC vocabulary, embeddings, centroids, the
-  cluster → floor index) to a directory of ``arrays.npz`` + JSON manifest.
+  cluster → floor index) to a directory of one flat array bundle
+  (``arrays.bin``, :mod:`~repro.serving.bundle`) + JSON manifest.
 * :mod:`~repro.serving.online` — :class:`OnlineFloorLabeler`: label *new*
   crowdsourced records through the frozen encoder by nearest cluster
   centroid, with confidence scores and no retraining.

@@ -6,13 +6,15 @@ format-version discipline of :mod:`repro.signals.io`:
 * ``manifest.json`` — format version, building metadata, the MAC vocabulary,
   record ids, the cluster → floor index, the loss trajectory, and the full
   pipeline configuration (so a loaded model knows exactly how it was made);
-* ``arrays.npz`` — every NumPy artefact: the trained ``W_k`` matrices, the
-  per-hop frozen MAC representations, the normalised sample embeddings, the
-  cluster centroids, cluster labels, floor labels, the cluster similarity
-  matrix, and the frozen CSR training graph (``indptr``/``indices``/
-  ``weights`` plus node-kind and key tables), so a loaded model can
-  warm-start ``add_record``-style graph growth without re-parsing the
-  dataset.
+* ``arrays.bin`` — every NumPy artefact, as one flat array bundle
+  (:mod:`repro.serving.bundle`, the layout shared-memory segments use): the
+  trained ``W_k`` matrices, the per-hop frozen MAC representations, the
+  normalised sample embeddings, the cluster centroids, cluster labels,
+  floor labels, the cluster similarity matrix, and the frozen CSR training
+  graph (``indptr``/``indices``/``weights`` plus node-kind and key tables),
+  so a loaded model can warm-start ``add_record``-style graph growth
+  without re-parsing the dataset.  A load is one read (or one ``mmap``) of
+  this file plus ``np.frombuffer`` views.
 
 ``load_artifacts(save_artifacts(fitted))`` reconstructs a
 :class:`~repro.core.pipeline.FittedFisOne` whose ``predict`` reproduces the
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import mmap as mmap_module
 import os
 import re
 import shutil
 import time
 import uuid
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -45,17 +47,19 @@ from repro.graph.bipartite import RSS_OFFSET_DB
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import WalkConfig
 from repro.indexing.indexer import IndexingResult
-from repro.serving.shared_store import SharedArrayStore
+from repro.serving.bundle import bundle_views, pack_bundle
+from repro.serving.shared_store import SharedArrayStore, SharedStoreError
 
 PathLike = Union[str, Path]
 
 #: Format version written into every manifest so future readers can detect
-#: and reject incompatible artifact directories.
-ARTIFACT_FORMAT_VERSION = 1
+#: and reject incompatible artifact directories.  Version 1 stored the
+#: arrays as ``arrays.npz``; version 2 stores one flat bundle.
+ARTIFACT_FORMAT_VERSION = 2
 
 #: File names inside an artifact directory.
 MANIFEST_FILENAME = "manifest.json"
-ARRAYS_FILENAME = "arrays.npz"
+ARRAYS_FILENAME = "arrays.bin"
 
 #: Pointer file of a *versioned* store: names the generation subdirectory
 #: currently being served.  Swapped with ``os.replace`` so readers always see
@@ -68,11 +72,6 @@ _VERSION_DIR_RE = re.compile(r"^v(\d+)$")
 #: Temp files older than this are leftovers of a crashed writer and are
 #: swept on the next save (live writers finish in well under this).
 STALE_TMP_MAX_AGE_S = 600.0
-
-#: Zip members smaller than this are read eagerly even under ``mmap=True`` —
-#: mapping a page per tiny array (the save token, per-hop biases, ...) costs
-#: more than copying it, and 0-d scalars sidestep memmap shape edge cases.
-MMAP_MIN_BYTES = 512
 
 _REQUIRED_MANIFEST_KEYS = (
     "format_version",
@@ -118,7 +117,6 @@ def save_artifacts(
     fitted: FittedFisOne,
     directory: PathLike,
     include_graph: bool = True,
-    compress: bool = False,
     keep_generations: Optional[int] = None,
 ) -> Path:
     """Write a fitted model to ``directory`` and return that path.
@@ -128,14 +126,6 @@ def save_artifacts(
     :meth:`~repro.core.pipeline.FittedFisOne.warm_start_graph` after a load
     but costs O(edges) disk, so fleets that never grow graphs offline can
     switch it off.
-
-    ``compress`` trades disk for load speed: the default stores the arrays
-    *uncompressed* inside ``arrays.npz`` so that
-    ``load_artifacts(..., mmap=True)`` can map them zero-copy straight from
-    the page cache (a worker process then shares physical pages with every
-    sibling mapping the same store).  Compressed artifacts remain loadable
-    in both modes — ``mmap=True`` just falls back to an eager read for
-    deflated members.
 
     ``keep_generations`` switches the store into *retention mode*: each
     generation is written to a per-version subdirectory
@@ -167,11 +157,11 @@ def save_artifacts(
     directory.mkdir(parents=True, exist_ok=True)
     versioned = keep_generations is not None or (directory / CURRENT_FILENAME).is_file()
     if not versioned:
-        _write_artifact_files(fitted, directory, include_graph, compress)
+        _write_artifact_files(fitted, directory, include_graph)
         return directory
     _migrate_flat_store(directory)
     target = directory / f"v{int(fitted.model_version)}"
-    _write_artifact_files(fitted, target, include_graph, compress)
+    _write_artifact_files(fitted, target, include_graph)
     _swap_current(directory, target.name)
     if keep_generations is not None:
         _prune_generations(directory, keep_generations)
@@ -183,9 +173,8 @@ def _write_artifact_files(
     fitted: FittedFisOne,
     directory: Path,
     include_graph: bool,
-    compress: bool,
 ) -> str:
-    """Write ``manifest.json`` + ``arrays.npz`` into ``directory`` (created
+    """Write ``manifest.json`` + ``arrays.bin`` into ``directory`` (created
     if needed) with the atomic two-file swap; returns the save token."""
     directory.mkdir(parents=True, exist_ok=True)
     _sweep_stale_tmp_files(directory)
@@ -211,19 +200,17 @@ def _write_artifact_files(
         arrays["graph_indices"] = graph.indices
         arrays["graph_weights"] = graph.weights
         arrays["graph_kinds"] = graph.kinds
-        # Object arrays do not survive savez without pickling; store the node
-        # keys as a fixed-width unicode array instead.
+        # A bundle holds no object arrays (nothing is ever pickled); store
+        # the node keys as a fixed-width unicode array instead.
         arrays["graph_keys"] = np.asarray([str(key) for key in graph.keys])
     # Temp names carry the save token so two processes overwriting the same
     # building never collide on a shared temp inode.
     arrays_tmp = directory / f"{ARRAYS_FILENAME}.{save_token}.tmp"
-    savez = np.savez_compressed if compress else np.savez
     try:
-        savez(arrays_tmp, **arrays)
-        # savez appends .npz when the name lacks it; ".tmp" lacks it.
-        os.replace(str(arrays_tmp) + ".npz", directory / ARRAYS_FILENAME)
+        arrays_tmp.write_bytes(pack_bundle(arrays))
+        os.replace(arrays_tmp, directory / ARRAYS_FILENAME)
     except BaseException:
-        Path(str(arrays_tmp) + ".npz").unlink(missing_ok=True)
+        arrays_tmp.unlink(missing_ok=True)
         raise
 
     manifest = {
@@ -441,78 +428,18 @@ def has_artifacts(directory: PathLike) -> bool:
     ).is_file()
 
 
-def _mmap_zip_member(path: Path, info: zipfile.ZipInfo) -> Optional[np.ndarray]:
-    """Memory-map one *stored* (uncompressed) ``.npy`` member of a zip file.
-
-    Returns ``None`` when the member cannot be mapped (unexpected local
-    header, unsupported ``.npy`` version, object dtype) — the caller then
-    falls back to an eager read.  The returned array is a read-only
-    ``np.memmap``: no bytes are copied at load time, and every process
-    mapping the same artifact shares one set of physical pages.
-    """
-    with open(path, "rb") as handle:
-        # The local file header's name/extra lengths can differ from the
-        # central directory's, so the data offset must be computed from the
-        # local header itself.
-        handle.seek(info.header_offset)
-        local_header = handle.read(30)
-        if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-            return None
-        name_length = int.from_bytes(local_header[26:28], "little")
-        extra_length = int.from_bytes(local_header[28:30], "little")
-        handle.seek(info.header_offset + 30 + name_length + extra_length)
-        try:
-            version = np.lib.format.read_magic(handle)
-        except ValueError:
-            return None
-        if version == (1, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(handle)
-        else:
-            return None
-        if dtype.hasobject:
-            return None
-        offset = handle.tell()
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=offset,
-        shape=shape,
-        order="F" if fortran_order else "C",
-    )
-
-
 def _read_arrays(path: Path, mmap: bool) -> Dict[str, np.ndarray]:
-    """All arrays of one ``arrays.npz``, eagerly or memory-mapped.
+    """Read-only views of every array in one ``arrays.bin``.
 
-    Under ``mmap=True``, members that were stored uncompressed (the default
-    of :func:`save_artifacts`) and are at least :data:`MMAP_MIN_BYTES` long
-    come back as read-only ``np.memmap`` views; everything else — tiny
-    arrays, deflated members of compressed artifacts — is read eagerly, so
-    the two modes accept exactly the same files.
+    Eagerly, the file is read once into a NumPy-owned buffer.  Under
+    ``mmap=True`` it is mapped once, read-only, and the views share the
+    page cache with every other process mapping the same artifact.
     """
     if not mmap:
-        with np.load(path) as stored:
-            return {name: stored[name] for name in stored.files}
-    arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
-            if not info.filename.endswith(".npy"):
-                continue
-            name = info.filename[: -len(".npy")]
-            array: Optional[np.ndarray] = None
-            if (
-                info.compress_type == zipfile.ZIP_STORED
-                and info.file_size >= MMAP_MIN_BYTES
-            ):
-                array = _mmap_zip_member(path, info)
-            if array is None:
-                with archive.open(info.filename) as member:
-                    array = np.lib.format.read_array(member, allow_pickle=False)
-            arrays[name] = array
-    return arrays
+        return bundle_views(np.fromfile(path, dtype=np.uint8))
+    with open(path, "rb") as handle:
+        mapped = mmap_module.mmap(handle.fileno(), 0, access=mmap_module.ACCESS_READ)
+    return bundle_views(mapped)
 
 
 def load_artifacts(
@@ -523,23 +450,23 @@ def load_artifacts(
 ) -> FittedFisOne:
     """Load a fitted model saved by :func:`save_artifacts`.
 
-    With ``mmap=True`` the NumPy arrays are memory-mapped read-only instead
-    of copied into the heap (zero-copy load): construction touches only the
-    zip directory and array headers, the data pages fault in on first use,
-    and worker processes serving the same store share physical pages.  The
-    reconstructed model is bit-identical to an eager load — every consumer
-    of a fitted model's arrays treats them as immutable (mutating stages
-    such as :meth:`~repro.core.pipeline.FittedFisOne.refresh` copy before
-    writing), which is exactly the contract a read-only mapping enforces.
+    Every mode returns read-only arrays viewing one buffer that holds the
+    whole ``arrays.bin`` bundle, and reconstructs a model bit-identical to
+    every other mode — every consumer of a fitted model's arrays treats
+    them as immutable (mutating stages such as
+    :meth:`~repro.core.pipeline.FittedFisOne.refresh` copy before writing).
+    By default the file is read once into the heap.  With ``mmap=True`` it
+    is memory-mapped instead (zero-copy load): construction parses only the
+    bundle header, the data pages fault in on first use, and worker
+    processes serving the same store share physical pages.
 
-    With a ``shared_store`` (which supersedes ``mmap``), the decoded arrays
-    live in a named POSIX shared-memory bundle keyed by this directory and
-    its save token: the first process fleet-wide to load this save decodes
-    the ``.npz`` once and publishes; every later load — including sibling
-    shard workers — attaches read-only views of the same physical pages
-    with zero decode work.  A re-save changes the token and therefore the
-    bundle, so stale generations are never aliased.  The reconstructed
-    model is again bit-identical to an eager load.
+    With a ``shared_store`` (which supersedes ``mmap``), the bundle lives in
+    a named POSIX shared-memory segment keyed by this directory and its save
+    token: the first process fleet-wide to load this save copies the file's
+    bytes into the segment unchanged; every later load — including sibling
+    shard workers — attaches read-only views of the same physical pages.  A
+    re-save changes the token and therefore the segment, so stale
+    generations are never aliased.
 
     In a versioned store (one written with ``keep_generations``), the load
     follows the ``CURRENT`` pointer by default; ``version=N`` opens the
@@ -550,8 +477,9 @@ def load_artifacts(
     ------
     ArtifactError
         If the directory is not an artifact, the format version is
-        unsupported, required entries are missing, or ``version`` names a
-        generation that is not retained.
+        unsupported (version 1 directories hold ``arrays.npz``), the arrays
+        are not a well-formed bundle, required entries are missing, or
+        ``version`` names a generation that is not retained.
     """
     directory = Path(directory)
     if version is not None:
@@ -570,8 +498,6 @@ def load_artifacts(
     arrays_path = directory / ARRAYS_FILENAME
     if not manifest_path.is_file():
         raise ArtifactError(f"no {MANIFEST_FILENAME} in {directory}")
-    if not arrays_path.is_file():
-        raise ArtifactError(f"no {ARRAYS_FILENAME} in {directory}")
     try:
         with manifest_path.open("r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -587,6 +513,8 @@ def load_artifacts(
             f"unsupported artifact format version {version}; "
             f"expected {ARTIFACT_FORMAT_VERSION}"
         )
+    if not arrays_path.is_file():
+        raise ArtifactError(f"no {ARRAYS_FILENAME} in {directory}")
 
     try:
         if shared_store is not None:
@@ -594,12 +522,10 @@ def load_artifacts(
             # fleet resolves the same bundle, and an overwritten artifact
             # gets a fresh bundle instead of aliasing the old arrays.
             bundle = f"artifact:{directory.resolve()}:{manifest['save_token']}"
-            arrays = shared_store.get_or_publish(
-                bundle, lambda: _read_arrays(arrays_path, mmap=False)
-            )
+            arrays = shared_store.get_or_publish(bundle, arrays_path.read_bytes)
         else:
             arrays = _read_arrays(arrays_path, mmap=mmap)
-    except Exception as error:  # np.load raises BadZipFile/OSError/ValueError
+    except (OSError, ValueError, SharedStoreError) as error:
         raise ArtifactError(f"unreadable arrays in {directory}: {error}") from None
     num_hops = int(manifest["num_hops"])
     try:

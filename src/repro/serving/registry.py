@@ -171,17 +171,18 @@ class BuildingRegistry:
         ``CURRENT`` pointer, and :meth:`rollback` can restore any retained
         generation.  ``None`` keeps the flat single-generation layout.
     mmap:
-        Load stored artifacts with ``mmap=True`` (zero-copy, read-only
-        memory maps instead of heap copies) — the mode sharded fleet
-        workers run in, so sibling processes serving one store share
-        physical pages.  Fits and refreshes still write ordinary files.
+        Load stored artifacts with ``mmap=True`` (one read-only memory map
+        of ``arrays.bin`` instead of one read into the heap) — the mode
+        sharded fleet workers run in, so sibling processes serving one
+        store share physical pages.  Fits and refreshes still write
+        ordinary files.
     shared_store:
         Optional :class:`~repro.serving.shared_store.SharedArrayStore`;
         when set it supersedes ``mmap`` and artifact loads go through
-        named shared-memory bundles — the first process fleet-wide to load
-        a given save decodes it, every other process attaches the same
-        physical copy with zero decode work.  The caller owns the store's
-        lifecycle (``close()``/``sweep()``).
+        named shared-memory segments — the first process fleet-wide to load
+        a given save copies its ``arrays.bin`` bytes into a segment, every
+        other process attaches the same physical copy.  The caller owns the
+        store's lifecycle (``close()``/``sweep()``).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink shared with the
         layers above.  Model lifecycle operations (fit / load / evict /

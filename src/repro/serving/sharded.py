@@ -1048,15 +1048,15 @@ class ShardedFleetServer:
         ``num_workers * shard_capacity``, which is the memory half of the
         sharding win.
     mmap:
-        Zero-copy artifact loads in the workers (default on).
+        Zero-copy artifact loads in the workers (default on): each load
+        maps ``arrays.bin`` once, read-only, instead of reading it.
     shared:
         Route worker artifact loads through one fleet-wide
         :class:`~repro.serving.shared_store.SharedArrayStore`: the first
-        worker to load a save decodes and publishes its arrays into named
-        shared-memory segments, and every sibling attaches the same
-        physical copy with zero decode work — per-worker incremental
-        memory for a hot building drops from one full array set to the
-        mapping overhead.  The segment prefix is derived from
+        worker to load a save copies its ``arrays.bin`` bytes unchanged
+        into a named shared-memory segment, and every sibling attaches the
+        same physical copy — per-worker incremental memory for a hot
+        building drops from one full array set to the mapping overhead.  The segment prefix is derived from
         ``store_dir``, so fleets over different stores never collide;
         ``stop()`` sweeps any segments left by crashed workers.
     max_inflight:

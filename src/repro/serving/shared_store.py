@@ -2,19 +2,17 @@
 
 The sharded fleet server (:mod:`repro.serving.sharded`) runs N worker
 processes over one artifact store.  ``load_artifacts(..., mmap=True)``
-already lets siblings share the *page-cache* copy of each ``arrays.npz``,
-but an mmap load still pays the zip walk and header parse per process, and
-any array that must be materialised (object-keyed graph tables, tiny
-members below the mmap threshold) is copied per worker.
-
-:class:`SharedArrayStore` closes that gap with POSIX shared memory
-(:mod:`multiprocessing.shared_memory`): the first process to load an
-artifact decodes it once and *publishes* the arrays into one named segment;
-every later process — sibling shard workers, a dispatcher-side warmup —
-*attaches* read-only views of the same physical pages, paying zero decode
-and zero copy.  Bundles are keyed by caller-chosen names (the artifact
-loader keys them by building directory + save token, so a re-saved model
-naturally publishes a fresh bundle instead of aliasing a stale one).
+lets siblings share the *page-cache* copy of each ``arrays.bin``;
+:class:`SharedArrayStore` shares one copy through POSIX shared memory
+(:mod:`multiprocessing.shared_memory`) instead: the first process to load
+an artifact *publishes* the file's bytes unchanged into one named segment,
+and every later process — sibling shard workers, a dispatcher-side warmup
+— *attaches* read-only views of the same physical pages.  Segments use
+the artifact file's own layout (:mod:`repro.serving.bundle`), so neither
+side decodes anything.  Bundles are keyed by caller-chosen names (the
+artifact loader keys them by building directory + save token, so a
+re-saved model naturally publishes a fresh bundle instead of aliasing a
+stale one).
 
 Hygiene is explicit because shared memory outlives processes:
 
@@ -29,10 +27,8 @@ Hygiene is explicit because shared memory outlives processes:
   backstop for workers that died without running ``atexit`` (kill -9,
   segfault).
 
-Segment layout: an 8-byte magic (written *last*, so a reader racing the
-publisher can spin until the bundle is complete), an 8-byte little-endian
-header length, a JSON header mapping each array name to its dtype, shape
-and byte offset, then the 64-byte-aligned array payloads.
+A publisher copies the bundle's magic *last*, so a reader racing it can
+spin until the segment is complete.
 
 CPython 3.11 registers every ``SharedMemory`` handle — attach-only ones
 included — with a resource tracker (bpo-38119).  Under ``spawn`` each
@@ -49,7 +45,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 import time
 import weakref
@@ -59,15 +54,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.serving.bundle import MAGIC, bundle_views
+
 __all__ = ["SharedArrayStore", "SharedStoreError"]
-
-#: Magic bytes stamped at offset 0 once a bundle is fully written.  A reader
-#: that attaches mid-publish spins until these appear.
-_MAGIC = b"FISSHM1\x00"
-
-#: Array payloads start on 64-byte boundaries (cache-line aligned, and
-#: comfortably aligned for every dtype NumPy ships).
-_ALIGN = 64
 
 #: How long an attacher waits for a concurrent publisher to finish writing
 #: before declaring the segment abandoned.
@@ -141,55 +130,6 @@ def _segment_name(prefix: str, bundle: str) -> str:
     return f"{prefix}-{digest}"
 
 
-def _pack_header(arrays: Dict[str, np.ndarray]) -> tuple:
-    """The JSON header plus per-array offsets and the total segment size."""
-    entries = []
-    offset = 0  # relative to the start of the payload area
-    for name, array in arrays.items():
-        if array.dtype.hasobject:
-            raise SharedStoreError(
-                f"array {name!r} has an object dtype and cannot live in shared memory"
-            )
-        entries.append(
-            {
-                "name": name,
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "offset": offset,
-            }
-        )
-        offset += -(-array.nbytes // _ALIGN) * _ALIGN
-    header = json.dumps({"arrays": entries}).encode("utf-8")
-    payload_start = -(-(len(_MAGIC) + 8 + len(header)) // _ALIGN) * _ALIGN
-    total = payload_start + max(offset, _ALIGN)  # zero-size segments are invalid
-    return header, entries, payload_start, total
-
-
-def _views(
-    segment: shared_memory.SharedMemory,
-) -> Dict[str, np.ndarray]:
-    """Read-only array views over one *ready* segment's payload."""
-    buf = segment.buf
-    header_length = int.from_bytes(bytes(buf[len(_MAGIC) : len(_MAGIC) + 8]), "little")
-    header_start = len(_MAGIC) + 8
-    try:
-        header = json.loads(bytes(buf[header_start : header_start + header_length]))
-    except ValueError as error:
-        raise SharedStoreError(f"corrupt bundle header: {error}") from None
-    payload_start = -(-(header_start + header_length) // _ALIGN) * _ALIGN
-    arrays: Dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        view = np.frombuffer(
-            buf, dtype=dtype, count=count, offset=payload_start + entry["offset"]
-        ).reshape(shape)
-        view.flags.writeable = False
-        arrays[entry["name"]] = view
-    return arrays
-
-
 class SharedArrayStore:
     """Publish/attach named bundles of arrays in POSIX shared memory.
 
@@ -222,58 +162,49 @@ class SharedArrayStore:
 
     # -- publishing ------------------------------------------------------------
 
-    def publish(self, bundle: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Write ``arrays`` into a new named segment and attach to it.
+    def publish(self, bundle: str, data: bytes) -> Dict[str, np.ndarray]:
+        """Copy ``data``, a packed :mod:`repro.serving.bundle` (such as an
+        artifact's ``arrays.bin``), into a new named segment and attach.
 
-        Returns read-only views over the shared pages (refcount 1).  When a
-        segment of this name already exists — published by a sibling, or
-        racing this call — the existing bundle is attached instead, so
-        concurrent publishers of the same bundle converge on one physical
-        copy no matter who wins the create race.
+        A malformed bundle raises :class:`~repro.serving.bundle.BundleError`
+        and is never published.  Returns read-only views over the shared
+        pages (refcount 1).  When a segment of this name already exists —
+        published by a sibling, or racing this call — the existing bundle is
+        attached instead, so concurrent publishers of the same bundle
+        converge on one physical copy no matter who wins the create race.
         """
         self._check_open()
         existing = self._bundles.get(bundle)
         if existing is not None:
             existing.refcount += 1
             return existing.arrays
-        # asarray(order="C") rather than ascontiguousarray: the latter
-        # silently promotes 0-d arrays (the save token) to 1-d.
-        contiguous = {
-            name: np.asarray(array, order="C") for name, array in arrays.items()
-        }
-        header, entries, payload_start, total = _pack_header(contiguous)
+        bundle_views(data)  # validate before anything is shared
         name = _segment_name(self.prefix, bundle)
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=True, size=total)
-        except FileExistsError:
-            return self._attach_existing(bundle, name)
-        _untrack(segment)
-        buf = segment.buf
-        for entry, array in zip(entries, contiguous.values()):
-            start = payload_start + entry["offset"]
-            target = np.frombuffer(
-                buf, dtype=array.dtype, count=array.size if array.shape else 1,
-                offset=start,
-            ).reshape(array.shape)
-            np.copyto(target, array, casting="no")
-        buf[len(_MAGIC) : len(_MAGIC) + 8] = len(header).to_bytes(8, "little")
-        buf[len(_MAGIC) + 8 : len(_MAGIC) + 8 + len(header)] = header
-        # The magic goes in last: attachers treat its absence as "publish in
-        # progress" and spin, so they can never observe a torn bundle.
-        buf[: len(_MAGIC)] = _MAGIC
-        views = _views(segment)
+        with memoryview(data) as source:
+            try:
+                segment = shared_memory.SharedMemory(
+                    name=name, create=True, size=source.nbytes
+                )
+            except FileExistsError:
+                return self._attach_existing(bundle, name)
+            _untrack(segment)
+            # The magic goes in last: attachers treat its absence as "publish
+            # in progress" and spin, so they can never observe a torn bundle.
+            segment.buf[len(MAGIC) : source.nbytes] = source[len(MAGIC) :]
+            segment.buf[: len(MAGIC)] = source[: len(MAGIC)]
+        views = bundle_views(segment.buf)
         self._bundles[bundle] = _Bundle(
             segment=segment, arrays=views, refcount=1, owned=True
         )
         return views
 
     def get_or_publish(
-        self, bundle: str, producer: Callable[[], Dict[str, np.ndarray]]
+        self, bundle: str, producer: Callable[[], bytes]
     ) -> Dict[str, np.ndarray]:
         """Attach ``bundle`` if it exists anywhere, else produce and publish.
 
-        ``producer`` runs only on the first load fleet-wide — the expensive
-        decode happens once, and every other process gets views.
+        ``producer`` returns the packed bundle; it runs only on the first
+        load fleet-wide, and every other process gets views.
         """
         attached = self.attach(bundle)
         if attached is not None:
@@ -303,7 +234,7 @@ class SharedArrayStore:
         segment = shared_memory.SharedMemory(name=name, create=False)
         _untrack(segment)
         deadline = time.monotonic() + _READY_TIMEOUT_S
-        while bytes(segment.buf[: len(_MAGIC)]) != _MAGIC:
+        while segment.buf[: len(MAGIC)] != MAGIC:
             if time.monotonic() > deadline:
                 segment.close()
                 raise SharedStoreError(
@@ -311,7 +242,7 @@ class SharedArrayStore:
                     "likely died mid-write — sweep and republish"
                 )
             time.sleep(0.001)
-        views = _views(segment)
+        views = bundle_views(segment.buf)
         self._bundles[bundle] = _Bundle(
             segment=segment, arrays=views, refcount=1, owned=False
         )

@@ -1,6 +1,11 @@
-"""Zero-copy (mmap) artifact loads: bit-identity with eager loads, safety."""
+"""Artifact loads in every mode: bit-identity, zero-copy, hostile bytes."""
 
 from __future__ import annotations
+
+import json
+import mmap
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from repro.core import FisOne
 from repro.core.config import FisOneConfig
 from repro.gnn.model import RFGNNConfig
 from repro.serving import BuildingRegistry, load_artifacts, save_artifacts
-from repro.serving.artifacts import ARRAYS_FILENAME, ArtifactError
+from repro.serving.artifacts import ARRAYS_FILENAME, MANIFEST_FILENAME, ArtifactError
+from repro.serving.bundle import MAGIC
+from repro.serving.shared_store import SharedArrayStore
 
 FAST_CONFIG = FisOneConfig(
     gnn=RFGNNConfig(embedding_dim=16, neighbor_sample_sizes=(10, 5)),
@@ -18,6 +25,18 @@ FAST_CONFIG = FisOneConfig(
     inference_passes=1,
     inference_sample_sizes=(20, 10),
 )
+
+
+def backing_buffer(array):
+    """The object at the end of ``array``'s ``.base`` chain.
+
+    ``np.frombuffer`` wraps its source in a ``memoryview``, so the chain is
+    followed through that view to the exporting object.
+    """
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +70,12 @@ class TestMmapLoadEquivalence:
         # The big arrays really are zero-copy maps, and read-only: an
         # accidental in-place write must fail loudly instead of silently
         # corrupting the process-shared pages.
-        assert isinstance(mapped.centroids, np.memmap)
+        assert isinstance(backing_buffer(mapped.centroids), mmap.mmap)
+        assert isinstance(backing_buffer(mapped.result.embeddings), mmap.mmap)
         assert not mapped.centroids.flags.writeable
         assert not mapped.result.embeddings.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             mapped.centroids[0, 0] = 1.0
-
-    def test_compressed_artifacts_fall_back_to_eager_read(
-        self, fitted_and_stream, tmp_path
-    ):
-        fitted, _, stream = fitted_and_stream
-        save_artifacts(fitted, tmp_path / "model", compress=True)
-        eager = load_artifacts(tmp_path / "model")
-        mapped = load_artifacts(tmp_path / "model", mmap=True)
-        # Deflated members cannot be mapped; the fallback must still produce
-        # the same model.
-        assert not isinstance(mapped.centroids, np.memmap)
-        for a, b in zip(eager.online_floors(stream), mapped.online_floors(stream)):
-            assert np.array_equal(a, b)
 
     def test_mmap_loaded_model_round_trips_through_save(
         self, fitted_and_stream, tmp_path
@@ -112,21 +119,198 @@ class TestMmapLoadEquivalence:
         assert mmap_registry.stats.loads == 1
 
 
-class TestMmapErrorCases:
-    def test_truncated_npz_raises_artifact_error(self, fitted_and_stream, tmp_path):
-        fitted, _, _ = fitted_and_stream
-        save_artifacts(fitted, tmp_path / "model")
-        arrays_path = tmp_path / "model" / ARRAYS_FILENAME
-        blob = arrays_path.read_bytes()
-        arrays_path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ArtifactError):
-            load_artifacts(tmp_path / "model", mmap=True)
-        with pytest.raises(ArtifactError):
-            load_artifacts(tmp_path / "model")
+#: A fit small enough that loading its artifact once per truncation length
+#: of ``arrays.bin`` stays a few seconds.
+TINY_CONFIG = FisOneConfig(
+    gnn=RFGNNConfig(embedding_dim=4, neighbor_sample_sizes=(4, 2)),
+    num_epochs=1,
+    max_pairs_per_epoch=500,
+    inference_passes=1,
+    inference_sample_sizes=(4, 2),
+)
 
-    def test_garbage_npz_raises_artifact_error(self, fitted_and_stream, tmp_path):
-        fitted, _, _ = fitted_and_stream
-        save_artifacts(fitted, tmp_path / "model")
-        (tmp_path / "model" / ARRAYS_FILENAME).write_bytes(b"not a zip archive")
-        with pytest.raises(ArtifactError):
-            load_artifacts(tmp_path / "model", mmap=True)
+LOAD_MODES = ["eager", "mmap", "shared"]
+
+
+@pytest.fixture(scope="module")
+def tiny_fitted():
+    from repro.simulate import generate_single_building
+
+    labeled = generate_single_building(num_floors=2, samples_per_floor=6, seed=9)
+    anchor = labeled.pick_labeled_sample(floor=0)
+    observed = labeled.strip_labels(keep_record_ids=[anchor.record_id])
+    return FisOne(TINY_CONFIG).fit(observed, anchor.record_id)
+
+
+@pytest.fixture
+def load():
+    """``load(path, mode)`` for ``mode`` in :data:`LOAD_MODES`."""
+    stores = []
+
+    def loader(path, mode):
+        if mode != "shared":
+            return load_artifacts(path, mmap=mode == "mmap")
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a POSIX shared-memory filesystem")
+        store = SharedArrayStore(prefix=f"fisone-test-{os.getpid()}-{len(stores)}")
+        stores.append(store)
+        return load_artifacts(path, shared_store=store)
+
+    yield loader
+    for store in stores:
+        store.close()
+        SharedArrayStore.sweep(store.prefix)
+
+
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    """Fail the test if anything is unpickled while it runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an artifact load tried to unpickle")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "load", refuse)
+
+
+def rewrite_header(path, mutate):
+    """Rewrite ``path``'s bundle header through ``mutate(entries)``, keeping
+    every payload where its (still valid) offset says."""
+    blob = path.read_bytes()
+    header_length = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "little")
+    header_end = len(MAGIC) + 8 + header_length
+    payload = blob[-(-header_end // 64) * 64 :]
+    header = json.loads(blob[len(MAGIC) + 8 : header_end])
+    mutate(header["arrays"])
+    encoded = json.dumps(header).encode("utf-8")
+    prefix = MAGIC + len(encoded).to_bytes(8, "little") + encoded
+    path.write_bytes(prefix.ljust(-(-len(prefix) // 64) * 64, b"\0") + payload)
+
+
+def model_arrays(fitted):
+    arrays = {
+        "centroids": fitted.centroids,
+        "embeddings": fitted.result.embeddings,
+        "floor_labels": fitted.result.floor_labels,
+        "cluster_labels": fitted.result.assignment.labels,
+        "similarity": fitted.result.indexing.similarity,
+        "graph_indptr": fitted.graph.indptr,
+        "graph_indices": fitted.graph.indices,
+        "graph_weights": fitted.graph.weights,
+        "graph_kinds": fitted.graph.kinds,
+    }
+    for hop, (weight, hidden) in enumerate(
+        zip(fitted.encoder.weights, fitted.encoder.mac_hidden)
+    ):
+        arrays[f"weight_{hop}"] = weight
+        arrays[f"mac_hidden_{hop}"] = hidden
+    return arrays
+
+
+class TestLoadModes:
+    def test_arrays_aligned_read_only_and_bit_identical(self, tiny_fitted, tmp_path, load):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        eager = model_arrays(load(path, "eager"))
+        for mode in LOAD_MODES[1:]:
+            other = model_arrays(load(path, mode))
+            for name, array in eager.items():
+                assert array.dtype == other[name].dtype, (mode, name)
+                assert array.shape == other[name].shape, (mode, name)
+                assert array.tobytes() == other[name].tobytes(), (mode, name)
+        for mode in LOAD_MODES:
+            for name, array in model_arrays(load(path, mode)).items():
+                assert array.flags.aligned, (mode, name)
+                assert not array.flags.writeable, (mode, name)
+
+
+class TestHostileBundles:
+    """Malformed ``arrays.bin`` files fail as ArtifactError and unpickle nothing."""
+
+    @pytest.mark.parametrize("mode", ["eager", "mmap"])
+    def test_every_truncation_raises_artifact_error(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+    ):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        arrays_path = path / ARRAYS_FILENAME
+        size = arrays_path.stat().st_size
+        for length in reversed(range(size)):
+            os.truncate(arrays_path, length)
+            with pytest.raises(ArtifactError, match="unreadable arrays"):
+                load(path, mode)
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    def test_garbage_bytes_raise_artifact_error(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+    ):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        arrays_path = path / ARRAYS_FILENAME
+        size = arrays_path.stat().st_size
+        rng = np.random.default_rng(0)
+        for blob in (
+            b"not an array bundle",
+            rng.integers(0, 256, size, dtype=np.uint8).tobytes(),
+            pickle.dumps({"weight_0": np.ones(3)}),
+        ):
+            arrays_path.write_bytes(blob)
+            with pytest.raises(ArtifactError, match="unreadable arrays"):
+                load(path, mode)
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (lambda entries: entries[0].update(dtype="|O"), "object dtype"),
+            (lambda entries: entries[1].update(shape=[-1, 4]), "invalid shape/offset"),
+            (lambda entries: entries[1].update(offset=1 << 40), "past the end"),
+            (lambda entries: entries[1].update(offset=-64), "invalid shape/offset"),
+            (lambda entries: entries[0].update(dtype="not-a-dtype"), "unknown dtype"),
+        ],
+        ids=["object-dtype", "negative-shape", "offset-past-end", "negative-offset", "bad-dtype"],
+    )
+    def test_hostile_header_raises_artifact_error(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode, mutate, reason
+    ):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        rewrite_header(path / ARRAYS_FILENAME, mutate)
+        with pytest.raises(ArtifactError, match=f"unreadable arrays.*{reason}"):
+            load(path, mode)
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    def test_header_length_past_end_raises_artifact_error(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+    ):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        arrays_path = path / ARRAYS_FILENAME
+        blob = bytearray(arrays_path.read_bytes())
+        blob[len(MAGIC) : len(MAGIC) + 8] = len(blob).to_bytes(8, "little")
+        arrays_path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="unreadable arrays.*header length"):
+            load(path, mode)
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    def test_unparseable_header_raises_artifact_error(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+    ):
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        arrays_path = path / ARRAYS_FILENAME
+        blob = bytearray(arrays_path.read_bytes())
+        blob[len(MAGIC) + 8] = ord("}")
+        arrays_path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="unreadable arrays.*corrupt header"):
+            load(path, mode)
+
+    @pytest.mark.parametrize("mode", ["eager", "mmap"])
+    def test_format_version_1_directory_is_rejected(
+        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+    ):
+        # A version-1 directory: the same manifest fields, arrays in
+        # ``arrays.npz`` and no ``arrays.bin``.
+        path = save_artifacts(tiny_fitted, tmp_path / "model")
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        np.savez(path / "arrays.npz", centroids=tiny_fitted.centroids)
+        (path / ARRAYS_FILENAME).unlink()
+        with pytest.raises(ArtifactError, match="format version 1"):
+            load(path, mode)

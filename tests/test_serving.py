@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import queue
 import sys
 import threading
@@ -25,7 +26,15 @@ from repro.serving import (
     load_artifacts,
     save_artifacts,
 )
-from repro.serving.artifacts import MANIFEST_FILENAME, config_from_dict, config_to_dict
+from repro.serving.artifacts import (
+    ARRAYS_FILENAME,
+    MANIFEST_FILENAME,
+    _read_arrays,
+    config_from_dict,
+    config_to_dict,
+)
+from repro.serving.bundle import pack_bundle
+from repro.serving.shared_store import SharedArrayStore
 from repro.signals.dataset import SignalDataset
 from repro.signals.record import SignalRecord
 from repro.simulate import generate_single_building
@@ -51,6 +60,16 @@ TINY_CONFIG = FisOneConfig(
     inference_passes=1,
     inference_sample_sizes=(12, 6),
 )
+
+
+def read_arrays(path):
+    """Every array of the artifact at ``path``, through the artifact reader."""
+    return dict(_read_arrays(path / ARRAYS_FILENAME, mmap=False))
+
+
+def write_arrays(path, arrays):
+    """Replace the artifact's arrays with ``arrays``, through the bundle writer."""
+    (path / ARRAYS_FILENAME).write_bytes(pack_bundle(arrays))
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +277,12 @@ class TestArtifacts:
         # arrays; they must load fine, with warm start explicitly refused.
         _, _, fitted = fitted_model
         path = save_artifacts(fitted, tmp_path / "building")
-        arrays_path = path / "arrays.npz"
-        with np.load(arrays_path) as stored:
-            arrays = {
-                name: stored[name]
-                for name in stored.files
-                if not name.startswith("graph_")
-            }
-        np.savez_compressed(arrays_path, **arrays)
+        arrays = {
+            name: array
+            for name, array in read_arrays(path).items()
+            if not name.startswith("graph_")
+        }
+        write_arrays(path, arrays)
         loaded = load_artifacts(path)
         assert loaded.graph is None
         with pytest.raises(ValueError, match="no training graph"):
@@ -290,11 +307,9 @@ class TestArtifacts:
         # fail at load time, not as an IndexError at predict time.
         _, _, fitted = fitted_model
         path = save_artifacts(fitted, tmp_path / "building")
-        arrays_path = path / "arrays.npz"
-        with np.load(arrays_path) as stored:
-            arrays = {name: stored[name] for name in stored.files}
+        arrays = read_arrays(path)
         arrays["floor_labels"] = arrays["floor_labels"][:-5]
-        np.savez_compressed(arrays_path, **arrays)
+        write_arrays(path, arrays)
         with pytest.raises(ArtifactError, match="inconsistent"):
             load_artifacts(path)
 
@@ -303,11 +318,9 @@ class TestArtifacts:
         # weight chain must fail at load, not as a matmul error mid-request.
         _, _, fitted = fitted_model
         path = save_artifacts(fitted, tmp_path / "building")
-        arrays_path = path / "arrays.npz"
-        with np.load(arrays_path) as stored:
-            arrays = {name: stored[name] for name in stored.files}
+        arrays = read_arrays(path)
         arrays["weight_0"] = arrays["weight_0"][:, :-2]
-        np.savez_compressed(arrays_path, **arrays)
+        write_arrays(path, arrays)
         with pytest.raises(ArtifactError, match="inconsistent"):
             load_artifacts(path)
 
@@ -335,28 +348,33 @@ class TestArtifacts:
 
     @staticmethod
     def _arrays_modulo_token(path):
-        with np.load(path / "arrays.npz") as stored:
-            return {
-                name: stored[name]
-                for name in stored.files
-                if name != "save_token"
-            }
+        return {
+            name: array
+            for name, array in read_arrays(path).items()
+            if name != "save_token"
+        }
 
+    @pytest.mark.parametrize("mode", ["eager", "mmap", "shared"])
     @pytest.mark.parametrize("include_graph", [True, False])
     def test_save_load_save_is_idempotent(
-        self, fitted_model, tmp_path, include_graph
+        self, fitted_model, tmp_path, include_graph, mode
     ):
         # save -> load -> save must reproduce the manifest verbatim (modulo
-        # the per-save token) and every array bit for bit: nothing may be
-        # lost or perturbed by a round trip through disk.
+        # the per-save token) and every array bit for bit, in every load
+        # mode: nothing may be lost or perturbed by a round trip through disk.
         _, _, fitted = fitted_model
         first = save_artifacts(
             fitted, tmp_path / "first", include_graph=include_graph
         )
-        loaded = load_artifacts(first)
-        second = save_artifacts(
-            loaded, tmp_path / "second", include_graph=include_graph
-        )
+        with SharedArrayStore(prefix=f"fisone-test-{os.getpid()}-idempotent") as store:
+            loaded = load_artifacts(
+                first,
+                mmap=mode == "mmap",
+                shared_store=store if mode == "shared" else None,
+            )
+            second = save_artifacts(
+                loaded, tmp_path / "second", include_graph=include_graph
+            )
         assert self._manifest_modulo_token(first) == self._manifest_modulo_token(
             second
         )
@@ -374,11 +392,11 @@ class TestArtifacts:
             assert array.tobytes() == other.tobytes(), name
 
     def test_truncated_arrays_raise_artifact_error(self, fitted_model, tmp_path):
-        # A partially copied arrays.npz must fail as a clear ArtifactError,
-        # not a BadZipFile/OSError stack from numpy internals.
+        # A partially copied arrays file must fail as a clear ArtifactError,
+        # not a ValueError/OSError stack from numpy internals.
         _, _, fitted = fitted_model
         path = save_artifacts(fitted, tmp_path / "building")
-        arrays_path = path / "arrays.npz"
+        arrays_path = path / ARRAYS_FILENAME
         payload = arrays_path.read_bytes()
         arrays_path.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(ArtifactError, match="unreadable arrays"):
@@ -472,7 +490,7 @@ class TestBuildingRegistry:
         registry = BuildingRegistry(store_dir=store, capacity=2, config=TINY_CONFIG)
         registry.register("b0", tiny_building(seed=58))
         registry.get("b0")
-        (store / "b0" / "arrays.npz").write_bytes(b"not a zipfile")
+        (store / "b0" / ARRAYS_FILENAME).write_bytes(b"not an array bundle")
 
         # A fresh registry with the source registered refits over the junk.
         recovered = BuildingRegistry(store_dir=store, capacity=2, config=TINY_CONFIG)

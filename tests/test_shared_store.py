@@ -13,6 +13,7 @@ from repro.core import FisOne
 from repro.core.config import FisOneConfig
 from repro.gnn.model import RFGNNConfig
 from repro.serving import load_artifacts, save_artifacts
+from repro.serving.bundle import BundleError, pack_bundle
 from repro.serving.shared_store import SharedArrayStore, SharedStoreError
 
 FAST_CONFIG = FisOneConfig(
@@ -48,11 +49,15 @@ def sample_arrays():
     }
 
 
+def sample_bundle():
+    return pack_bundle(sample_arrays())
+
+
 class TestPublishAttach:
     def test_roundtrip_preserves_values_dtypes_and_shapes(self, prefix):
         arrays = sample_arrays()
         with SharedArrayStore(prefix=prefix) as store:
-            views = store.publish("bundle", arrays)
+            views = store.publish("bundle", pack_bundle(arrays))
             for name, original in arrays.items():
                 assert views[name].dtype == original.dtype
                 assert views[name].shape == original.shape
@@ -60,7 +65,7 @@ class TestPublishAttach:
 
     def test_views_are_read_only(self, prefix):
         with SharedArrayStore(prefix=prefix) as store:
-            views = store.publish("bundle", sample_arrays())
+            views = store.publish("bundle", sample_bundle())
             with pytest.raises((ValueError, RuntimeError)):
                 views["matrix"][0, 0] = 99.0
 
@@ -68,17 +73,22 @@ class TestPublishAttach:
         with SharedArrayStore(prefix=prefix) as store:
             assert store.attach("never-published") is None
 
-    def test_object_dtype_is_rejected(self, prefix):
+    def test_object_dtype_is_rejected(self):
+        with pytest.raises(BundleError, match="object dtype"):
+            pack_bundle({"keys": np.array(["a", "b"], dtype=object)})
+
+    def test_malformed_bundle_is_never_published(self, prefix):
         with SharedArrayStore(prefix=prefix) as store:
-            with pytest.raises(SharedStoreError, match="object dtype"):
-                store.publish("bad", {"keys": np.array(["a", "b"], dtype=object)})
+            with pytest.raises(BundleError, match="bad magic"):
+                store.publish("bad", b"not an array bundle")
+            assert shm_segments(prefix) == []
 
     def test_get_or_publish_runs_producer_exactly_once(self, prefix):
         calls = []
 
         def producer():
             calls.append(1)
-            return sample_arrays()
+            return sample_bundle()
 
         with SharedArrayStore(prefix=prefix) as store:
             first = store.get_or_publish("bundle", producer)
@@ -97,7 +107,7 @@ class TestPublishAttach:
                 )
 
         with SharedArrayStore(prefix=prefix) as store:
-            store.publish("bundle", sample_arrays())
+            store.publish("bundle", sample_bundle())
             context = multiprocessing.get_context("fork")
             queue = context.Queue()
             process = context.Process(target=child, args=(queue,))
@@ -110,7 +120,7 @@ class TestPublishAttach:
 class TestRefcounts:
     def test_attach_detach_balance(self, prefix):
         with SharedArrayStore(prefix=prefix) as store:
-            store.publish("bundle", sample_arrays())
+            store.publish("bundle", sample_bundle())
             assert store.refcount("bundle") == 1
             store.attach("bundle")
             store.attach("bundle")
@@ -128,7 +138,7 @@ class TestRefcounts:
 
     def test_owner_detach_to_zero_unlinks(self, prefix):
         store = SharedArrayStore(prefix=prefix)
-        store.publish("bundle", sample_arrays())
+        store.publish("bundle", sample_bundle())
         assert len(shm_segments(prefix)) == 1
         store.detach("bundle")
         assert shm_segments(prefix) == []
@@ -138,23 +148,23 @@ class TestRefcounts:
 class TestLifecycleHygiene:
     def test_close_unlinks_owned_segments(self, prefix):
         store = SharedArrayStore(prefix=prefix)
-        store.publish("one", sample_arrays())
-        store.publish("two", {"x": np.ones(3)})
+        store.publish("one", sample_bundle())
+        store.publish("two", pack_bundle({"x": np.ones(3)}))
         assert len(shm_segments(prefix)) == 2
         store.close()
         assert shm_segments(prefix) == []
 
     def test_close_is_idempotent_and_rejects_further_use(self, prefix):
         store = SharedArrayStore(prefix=prefix)
-        store.publish("bundle", sample_arrays())
+        store.publish("bundle", sample_bundle())
         store.close()
         store.close()
         with pytest.raises(SharedStoreError, match="closed"):
-            store.publish("bundle", sample_arrays())
+            store.publish("bundle", sample_bundle())
 
     def test_attacher_close_leaves_segment_for_siblings(self, prefix):
         owner = SharedArrayStore(prefix=prefix, unlink_on_close=False)
-        owner.publish("bundle", sample_arrays())
+        owner.publish("bundle", sample_bundle())
         attacher = SharedArrayStore(prefix=prefix)
         assert attacher.attach("bundle") is not None
         attacher.close()  # not the creator: must not unlink
@@ -166,7 +176,7 @@ class TestLifecycleHygiene:
 
         def crasher():
             store = SharedArrayStore(prefix=prefix, unlink_on_close=False)
-            store.publish("crashy", {"x": np.ones(8)})
+            store.publish("crashy", pack_bundle({"x": np.ones(8)}))
             os.kill(os.getpid(), signal.SIGKILL)
 
         context = multiprocessing.get_context("fork")
@@ -182,7 +192,7 @@ class TestLifecycleHygiene:
     def test_sweep_ignores_other_prefixes(self, prefix):
         other = f"{prefix}x"  # shares a textual prefix but not the namespace
         with SharedArrayStore(prefix=other) as neighbour:
-            neighbour.publish("bundle", {"x": np.ones(2)})
+            neighbour.publish("bundle", pack_bundle({"x": np.ones(2)}))
             assert SharedArrayStore.sweep(prefix) == []
             assert len(shm_segments(other)) == 1
 
