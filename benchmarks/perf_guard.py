@@ -73,12 +73,6 @@ GUARDED_METRICS: Sequence[GuardedMetric] = (
     # slots vs the same worker holding all 8 hot, on the same trace.  Falls
     # when an artifact load (the miss path) gets dearer.
     GuardedMetric("BENCH_serving.json", "thrash_vs_hot_1w", ("thrash_vs_hot_1w",)),
-    # Network transport: loopback TCP must stay within striking distance of
-    # the pipe transport at 4 workers (the zero-copy binary framing is what
-    # keeps the socket path's tax down).
-    GuardedMetric(
-        "BENCH_serving.json", "tcp_vs_pipe_ratio_4w", ("tcp_vs_pipe_ratio_4w",)
-    ),
     # Columnar RecordBatch path over the per-record path.
     GuardedMetric("BENCH_batching.json", "batch_vs_record_speedup", ("speedup",)),
     # Incremental refresh over a cold refit, and its label stability.
@@ -105,14 +99,6 @@ GUARDED_METRICS: Sequence[GuardedMetric] = (
         "BENCH_serving.json",
         "telemetry_throughput_ratio",
         ("telemetry_throughput_ratio",),
-    ),
-    # Capacity planner: the plan must stay feasible with ~2x margin on the
-    # self-derived half-capacity target (both ratios, machine-portable).
-    GuardedMetric(
-        "BENCH_capacity.json", "capacity_plan_feasible", ("capacity_plan_feasible",)
-    ),
-    GuardedMetric(
-        "BENCH_capacity.json", "capacity_rps_margin", ("capacity_rps_margin",)
     ),
     # Training engine: the shared-memory store's per-worker RSS saving at
     # 4 workers (1 - shared/private, higher-better).

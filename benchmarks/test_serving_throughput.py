@@ -373,120 +373,6 @@ def test_sharded_worker_count_sweep(tmp_path):
     )
 
 
-#: Required TCP throughput as a fraction of pipe throughput at 4 workers.
-#: Loopback TCP pays a real tax over an anonymous pipe (socket syscalls,
-#: TCP framing) but the zero-copy binary encoding claws most of it back;
-#: below 0.7x the network transport has stopped being a usable substitute.
-MIN_TCP_VS_PIPE_RATIO = 0.7
-
-#: Open-loop requests per TCP sweep point.
-TCP_SWEEP_REQUESTS = 240
-
-#: Alternating pipe/tcp measurement rounds for the ratio.  Best-of-N per
-#: transport with the transports interleaved: a load burst on the host hits
-#: single rounds, not a transport's best.
-TCP_RATIO_ROUNDS = 3
-
-
-def test_tcp_transport_worker_sweep(tmp_path):
-    """Loopback-TCP sharded throughput at 1/2/4 workers, and TCP vs pipe.
-
-    Fits a small fleet once, generates one mixed-building columnar traffic
-    trace, and replays it over ``transport="tcp"`` at each worker count —
-    the labels ride :class:`~repro.serving.transport._WireBatch` binary
-    frames over loopback sockets.  The absolute per-worker-count rates land
-    in ``BENCH_serving.json`` under ``tcp_worker_sweep``; the guarded
-    number is ``tcp_vs_pipe_ratio_4w``, the best-of-N ratio of TCP over
-    pipe throughput at 4 workers measured in alternating rounds.  Ratios
-    of two transports replaying the same trace on the same host are the
-    machine-portable form (see perf_guard.py); wall-clock is the right
-    meter because the labeling happens in worker *processes* the parent's
-    CPU clock cannot see.
-    """
-    config = fast_config()
-    store = tmp_path / "tcp-fleet-store"
-    fit_registry = BuildingRegistry(
-        store_dir=store, config=config, capacity=len(SHARDED_FLEET_IDS)
-    )
-    streams = {}
-    for index, building_id in enumerate(SHARDED_FLEET_IDS):
-        labeled = generate_single_building(
-            num_floors=3, samples_per_floor=45, seed=200 + index
-        )
-        train, stream = labeled.holdout_split(train_per_floor=30)
-        anchor = train.pick_labeled_sample(floor=0)
-        observed = train.strip_labels(keep_record_ids=[anchor.record_id])
-        fit_registry.register(building_id, observed, anchor_record_id=anchor.record_id)
-        fit_registry.get(building_id)
-        streams[building_id] = [record.without_floor() for record in stream]
-
-    traffic = generate_label_traffic(
-        streams,
-        num_requests=TCP_SWEEP_REQUESTS,
-        profile=LoadProfile(
-            building_skew=0.3,
-            batch_size_mix=((4, 0.35), (16, 0.4), (64, 0.25)),
-        ),
-        seed=11,
-    )
-    num_records = sum(len(request.records) for request in traffic)
-
-    def run_replay(workers: int, transport: str) -> float:
-        with ShardedFleetServer(
-            store,
-            num_workers=workers,
-            config=config,
-            refresh_policy=RefreshPolicy(buffer_size=8),
-            shard_capacity=SHARDED_SWEEP_CAPACITY,
-            max_inflight=8,
-            inner_workers=2,
-            transport=transport,
-        ) as server:
-            start_time = time.perf_counter()
-            futures, _ = replay_traffic(server.submit, traffic)
-            for future in futures:
-                future.result(timeout=600)
-            elapsed = time.perf_counter() - start_time
-        return num_records / elapsed
-
-    tcp_sweep = {str(workers): run_replay(workers, "tcp") for workers in WORKER_SWEEP}
-
-    best = {"pipe": 0.0, "tcp": 0.0}
-    for _ in range(TCP_RATIO_ROUNDS):
-        best["pipe"] = max(best["pipe"], run_replay(WORKER_SWEEP[-1], "pipe"))
-        best["tcp"] = max(best["tcp"], run_replay(WORKER_SWEEP[-1], "tcp"))
-    ratio = best["tcp"] / best["pipe"]
-
-    _merge_bench(
-        {
-            "tcp_sweep_records": num_records,
-            "tcp_sweep_requests": TCP_SWEEP_REQUESTS,
-            "tcp_worker_sweep": tcp_sweep,
-            "tcp_records_per_second_4w": best["tcp"],
-            "pipe_records_per_second_4w": best["pipe"],
-            "tcp_vs_pipe_ratio_4w": ratio,
-        }
-    )
-
-    print(
-        f"\nTCP transport sweep ({num_records} records, "
-        f"{len(SHARDED_FLEET_IDS)} buildings, loopback sockets):"
-    )
-    for workers in WORKER_SWEEP:
-        print(f"  workers={workers}: {tcp_sweep[str(workers)]:10.0f} records/s")
-    print(
-        f"  4w best-of-{TCP_RATIO_ROUNDS}: pipe {best['pipe']:8.0f} records/s, "
-        f"tcp {best['tcp']:8.0f} records/s -> ratio {ratio:.2f} "
-        f"(written to {BENCH_OUTPUT.name})"
-    )
-
-    assert ratio >= MIN_TCP_VS_PIPE_RATIO, (
-        f"loopback TCP delivered only {ratio:.2f}x the pipe transport's "
-        f"throughput at {WORKER_SWEEP[-1]} workers "
-        f"(floor {MIN_TCP_VS_PIPE_RATIO})"
-    )
-
-
 #: Alternating measurement rounds per telemetry mode for the overhead check.
 #: Best-of-N per mode: load bursts hit single rounds, not the best round.
 TELEMETRY_OVERHEAD_ROUNDS = 9

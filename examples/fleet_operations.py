@@ -1,12 +1,12 @@
 """Live fleet operations: join, drain, replicated failover, autoscaling.
 
 The runbook in ``docs/operations.md``, executed.  A replicated two-shard
-TCP fleet boots over a shared artifact store, and then every membership
+fleet boots over a shared artifact store, and then every membership
 operation an operator reaches for runs against it *while it serves*:
 
 1. fit four small buildings and persist them through a write-through
    ``BuildingRegistry``,
-2. boot a ``ShardedFleetServer`` (spawned TCP workers, ``replication=2``)
+2. boot a ``ShardedFleetServer`` (forked local workers, ``replication=2``)
    and serve a first wave of label traffic,
 3. ``join_shard()`` a third worker under background load — the newcomer
    is warmed before it takes the ~1/N of buildings it steals,
@@ -106,13 +106,12 @@ def main() -> None:
             num_workers=2,
             config=CONFIG,
             shard_capacity=4,
-            transport="tcp",
             replication=2,
             heartbeat_interval_s=0.2,
             heartbeat_miss_threshold=2,
         )
         with fleet:
-            print(f"== booted {fleet.num_live_shards} replicated TCP shards")
+            print(f"== booted {fleet.num_live_shards} replicated shards")
             baseline = label_map(fleet.serve(requests))
             num_labels = sum(len(labels) for labels in baseline.values())
             print(f"   served {len(requests)} requests, {num_labels} labels")

@@ -21,8 +21,10 @@ Run it with::
 With ``--workers N`` the serving step runs through the multi-process
 :class:`~repro.serving.sharded.ShardedFleetServer` instead: buildings are
 consistent-hash partitioned across N worker processes, each of which
-mmap-loads its share of the store zero-copy (the default, ``--workers 0``,
-serves in-process)::
+mmap-loads its share of the store zero-copy, labels travel as binary
+frames over a socketpair per worker, and a heartbeat thread fails a dead
+shard over by resizing the consistent-hash ring (the default,
+``--workers 0``, serves in-process)::
 
     python examples/serving_fleet.py --workers 2
 
@@ -32,13 +34,7 @@ worker processes in sharded mode; ``P=0`` picks a free port)::
 
     python examples/serving_fleet.py --workers 2 --metrics-port 9100
 
-``--transport tcp`` swaps the worker pipes for loopback TCP sockets —
-labels travel as zero-copy binary frames, and a heartbeat thread fails a
-dead shard over by resizing the consistent-hash ring::
-
-    python examples/serving_fleet.py --workers 2 --transport tcp
-
-The transport also crosses real process boundaries.  ``--listen`` turns
+The same frames also cross real process boundaries over TCP.  ``--listen`` turns
 one invocation into a standalone shard server (it fits the same simulated
 fleet, then serves it over TCP until interrupted), and ``--connect``
 points a dispatcher at one or more already-listening shards::
@@ -64,6 +60,7 @@ from repro.serving import (
     LabelRequest,
     ShardedFleetServer,
     ShardServer,
+    ShardSpec,
 )
 from repro.signals import MacVocab, RecordBatch
 from repro.simulate import generate_single_building
@@ -121,14 +118,6 @@ def main() -> None:
         "http://127.0.0.1:P/metrics while requests run (0 picks a free port)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("pipe", "tcp"),
-        default="pipe",
-        help="how the dispatcher talks to spawned workers: anonymous pipes "
-        "(default) or loopback TCP with binary frames, heartbeats, and "
-        "failover",
-    )
-    parser.add_argument(
         "--listen",
         metavar="HOST:PORT",
         default=None,
@@ -141,7 +130,7 @@ def main() -> None:
         action="append",
         default=None,
         help="dispatch to an already-listening shard server (repeat for "
-        "several shards; implies --transport tcp)",
+        "several shards)",
     )
     args = parser.parse_args()
 
@@ -178,7 +167,7 @@ def main() -> None:
             # every listener serves bit-identical models.
             host, _, port = args.listen.rpartition(":")
             server = ShardServer(
-                store, host=host, port=int(port), config=CONFIG, capacity=2
+                ShardSpec(store, config=CONFIG, capacity=2), host=host, port=int(port)
             ).start()
             bound_host, bound_port = server.address
             print(f"\nshard server listening on {bound_host}:{bound_port} "
@@ -223,12 +212,11 @@ def main() -> None:
                       f"shard server(s): {', '.join(args.connect)}")
             else:
                 print(f"\nserving through {args.workers} sharded worker "
-                      f"processes ({args.transport} transport, "
-                      "consistent-hash routing, zero-copy mmap loads)")
+                      "processes (consistent-hash routing, zero-copy mmap "
+                      "loads)")
             with ShardedFleetServer(
                 store, num_workers=max(args.workers, 1), config=CONFIG,
-                shard_capacity=2,
-                transport=args.transport, shard_addresses=args.connect,
+                shard_capacity=2, shard_addresses=args.connect,
             ) as sharded:
                 for building_id in fleet:
                     print(f"  {building_id} -> shard {sharded.shard_for(building_id)}")

@@ -22,22 +22,24 @@ Everything the seed's batch pipeline lacked for production traffic:
   reports throughput, and sweeps the fleet for drifted buildings
   (``refresh_drifted``).
 * :mod:`~repro.serving.sharded` — :class:`ShardedFleetServer`: the fleet
-  consistent-hash partitioned across worker *processes*, each running a
+  consistent-hash partitioned across shard *processes*, each running a
   :class:`FleetServer` over zero-copy (mmap) artifact loads, with bounded
-  per-shard queues (:class:`ShardOverloadedError` backpressure) and
-  fleet-wide stats/drift/refresh aggregation.
+  per-shard queues (:class:`ShardOverloadedError` backpressure),
+  heartbeat failover, live join/drain, and fleet-wide
+  stats/drift/refresh aggregation.
 * :mod:`~repro.serving.transport` — the versioned length-prefixed binary
   frame protocol (zero-copy columnar label batches, pickle only for
-  control ops) shared by the TCP transport's two halves.
-* :mod:`~repro.serving.netserver` — :class:`ShardServer`: one fleet shard
-  behind a TCP listener (asyncio, pipelined, bounded-inflight with NACK
-  backpressure), the worker half of ``transport="tcp"`` sharded serving.
+  control ops) spoken between the dispatcher and its shards.
+* :mod:`~repro.serving.netserver` — :class:`ShardServer`: the one shard
+  worker (blocking frame I/O, pipelined, bounded-inflight with NACK
+  backpressure), served over a socketpair in a process the fleet forks,
+  or behind a TCP listener for remote shards.
 * :mod:`~repro.serving.scheduler` — :class:`RefreshScheduler`: a jittered
   daemon that sweeps a registry's drifted buildings off the request path,
   with per-building cooldowns.
 * :mod:`~repro.serving.autoscale` — :class:`Autoscaler`: the same daemon
   shape pointed at fleet membership — watches per-shard pressure and p99
-  and grows/shrinks a live TCP fleet via ``join_shard``/``drain_shard``
+  and grows/shrinks a live fleet via ``join_shard``/``drain_shard``
   within policy bounds.
 * :mod:`~repro.serving.results` — the typed request/response dataclasses
   shared by all of the above.
@@ -88,7 +90,7 @@ from repro.serving.registry import (
     RegistryStats,
 )
 from repro.serving.results import LabelRequest, LabelResponse, OnlineLabel, ServerStats
-from repro.serving.netserver import ShardServer
+from repro.serving.netserver import ShardServer, ShardSpec
 from repro.serving.scheduler import RefreshScheduler
 from repro.serving.server import FleetServer
 from repro.serving.sharded import (
@@ -137,6 +139,7 @@ __all__ = [
     "ShardDownError",
     "ShardPressure",
     "ShardServer",
+    "ShardSpec",
     "ShardedFleetServer",
     "ShardOverloadedError",
     "ShardStats",

@@ -138,8 +138,8 @@ class Autoscaler:
     ----------
     fleet:
         The :class:`~repro.serving.sharded.ShardedFleetServer` to scale.
-        Grow spawns workers, so the fleet must own its shards (TCP
-        transport without ``shard_addresses``); :meth:`evaluate_once`
+        Grow spawns workers, so the fleet must own its shards (no
+        ``shard_addresses``); :meth:`evaluate_once`
         surfaces violations of that as failure-counted holds rather than
         raising out of the daemon thread.
     policy:

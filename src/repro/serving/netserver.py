@@ -1,19 +1,27 @@
-"""TCP front-end of one fleet shard: a :class:`FleetServer` behind a socket.
+"""One fleet shard: a :class:`FleetServer` behind the binary frame protocol.
 
-:class:`ShardServer` is the network-native counterpart of the pipe worker in
-:mod:`~repro.serving.sharded`: the same serving stack (a
+:class:`ShardServer` is the one shard worker of
+:class:`~repro.serving.sharded.ShardedFleetServer`: a
 :class:`~repro.serving.registry.BuildingRegistry` under a coalescing
-:class:`~repro.serving.server.FleetServer`), but fronted by a TCP listener
-speaking the binary frame protocol of :mod:`~repro.serving.transport` — so a
-shard can live on another machine, or simply in another process with no
-parent/child relationship to its dispatcher.
+:class:`~repro.serving.server.FleetServer`, speaking the frames of
+:mod:`~repro.serving.transport` over stream sockets.  It runs in one of two
+places, with the same frames and the same code:
+
+* **local** — the dispatcher forks a process per shard and hands it one end
+  of a ``socket.socketpair()`` (:func:`serve_local_shard`).  The
+  dispatcher stops it by half-closing its own end: the worker reads EOF,
+  answers every request it accepted, and exits;
+* **remote** — :meth:`ShardServer.start` binds a TCP listener, so a shard
+  can live on another machine, in a process with no parent/child
+  relationship to its dispatcher (``shard_addresses`` connect mode).
 
 Design points:
 
-* **asyncio loop on a dedicated thread.**  Frame I/O is async (one
-  coroutine per connection); the blocking serving stack stays untouched.
-  Label completions hop back onto the loop via ``call_soon_threadsafe``, so
-  every socket write happens on the loop thread and needs no locks.
+* **Blocking I/O, one reader thread per connection.**  Each connection's
+  thread reads frames with :func:`~repro.serving.transport.recv_frame` and
+  dispatches them; a listener adds one accept thread.  A label completion
+  writes its response frame straight from the inner server's callback
+  thread, under the connection's write lock.
 * **Pipelined, out-of-order responses.**  Requests carry a ``seq``;
   responses are written whenever the inner server's future resolves, so a
   connection keeps many label requests in flight and slow buildings never
@@ -29,18 +37,22 @@ Design points:
   (bad magic/version/length, which desynchronise the byte stream) answer
   once and close that connection only.  The shard keeps serving its other
   connections either way.
+* **Drain before close.**  A connection whose peer closes (or half-closes)
+  is answered in full before it is closed, and :meth:`ShardServer.stop`
+  drains every accepted label and flushes its response first.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import pickle
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 from repro.core.config import FisOneConfig
 from repro.serving.drift import RefreshPolicy
@@ -65,7 +77,7 @@ from repro.serving.transport import (
     encode_labels,
     encode_nack,
     encode_pong,
-    parse_header,
+    recv_frame,
 )
 from repro.signals.batch import MacVocab
 from repro.telemetry import EVENT_SHARD_START, Telemetry
@@ -74,6 +86,37 @@ PathLike = Union[str, Path]
 
 #: Fallback NACK hint before the server has completed any request.
 _DEFAULT_RETRY_AFTER_S = 0.05
+
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """Everything one shard needs to build its serving stack.
+
+    ``capacity``, ``config``, ``refresh_policy``, ``mmap`` and
+    ``keep_generations`` configure the shard's
+    :class:`~repro.serving.registry.BuildingRegistry` (every shard of a
+    fleet shares one store, so they must agree on its layout).
+    ``inner_workers`` and ``max_batch_size`` configure the inner
+    :class:`~repro.serving.server.FleetServer`: a building with no batch
+    running is labeled at once, and requests arriving behind a running
+    batch go out together when it finishes (or on reaching
+    ``max_batch_size``), so batch size follows load with no timer.
+    ``shared_prefix``, when set, routes artifact loads through a
+    :class:`~repro.serving.shared_store.SharedArrayStore` under that
+    segment prefix.  ``max_inflight`` bounds label requests outstanding
+    across *all* of the shard's connections.
+    """
+
+    store_dir: PathLike
+    capacity: int = 8
+    config: Optional[FisOneConfig] = None
+    refresh_policy: Optional[RefreshPolicy] = None
+    mmap: bool = True
+    inner_workers: int = 2
+    max_batch_size: int = 64
+    keep_generations: Optional[int] = None
+    shared_prefix: Optional[str] = None
+    max_inflight: int = 64
 
 
 def _picklable(error: BaseException) -> BaseException:
@@ -85,80 +128,98 @@ def _picklable(error: BaseException) -> BaseException:
     return error
 
 
-class ShardServer:
-    """One fleet shard behind a TCP listener (see module docstring).
+def _error_body(error: BaseException) -> bytes:
+    return pickle.dumps(_picklable(error))
 
-    Parameters mirror the worker half of
-    :class:`~repro.serving.sharded.ShardedFleetServer`: ``store_dir`` plus
-    the registry/server knobs build the same serving stack a pipe worker
-    would run; ``host``/``port`` bind the listener (``port=0`` picks an
-    ephemeral port, published as :attr:`port` after :meth:`start`).
-    ``inner_workers`` and ``max_batch_size`` configure the inner
-    :class:`~repro.serving.server.FleetServer`: a building with no batch
-    running is labeled at once, and requests arriving behind a running
-    batch go out together when it finishes (or on reaching
-    ``max_batch_size``), so batch size follows load with no timer.
-    ``max_inflight`` bounds label requests outstanding across *all*
-    connections — the server-side half of the end-to-end backpressure
-    story.
+
+class _Connection:
+    """One peer socket: serialized writes and a count of unanswered requests."""
+
+    __slots__ = ("sock", "write_lock", "idle", "unanswered")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.write_lock = threading.Lock()
+        self.idle = threading.Condition(threading.Lock())
+        self.unanswered = 0
+
+    def accept(self) -> None:
+        with self.idle:
+            self.unanswered += 1
+
+    def write(self, frame: bytes, answers: bool) -> bool:
+        """Send one frame; ``answers`` retires one accepted request."""
+        with self.write_lock:
+            try:
+                self.sock.sendall(frame)
+                sent = True
+            except OSError:
+                sent = False  # peer gone; its requests still retire
+        if answers:
+            with self.idle:
+                self.unanswered -= 1
+                if self.unanswered == 0:
+                    self.idle.notify_all()
+        return sent
+
+    def wait_answered(self) -> None:
+        with self.idle:
+            while self.unanswered:
+                self.idle.wait()
+
+    def shutdown(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
+class ShardServer:
+    """One fleet shard serving the binary frame protocol (see module docstring).
+
+    ``spec`` (a :class:`ShardSpec`) builds the serving stack.  ``host`` and
+    ``port`` bind a TCP listener on :meth:`start` (``port=0`` picks an
+    ephemeral port, published as :attr:`port`); ``host=None`` binds none,
+    and the caller hands connected sockets to :meth:`serve_connection`
+    instead — the local-shard path of :func:`serve_local_shard`.
     """
 
     def __init__(
         self,
-        store_dir: PathLike,
-        host: str = "127.0.0.1",
+        spec: ShardSpec,
+        host: Optional[str] = "127.0.0.1",
         port: int = 0,
         *,
         shard_index: int = 0,
-        capacity: int = 8,
-        config: Optional[FisOneConfig] = None,
-        refresh_policy: Optional[RefreshPolicy] = None,
-        mmap: bool = True,
-        inner_workers: int = 2,
-        max_batch_size: int = 64,
-        keep_generations: Optional[int] = None,
-        shared_prefix: Optional[str] = None,
-        max_inflight: int = 64,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if max_inflight < 1:
+        if spec.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        self.store_dir = Path(store_dir)
+        self.spec = spec
         self.host = host
         self.shard_index = shard_index
-        self.max_inflight = max_inflight
+        self.max_inflight = spec.max_inflight
         #: The bound port; equals the requested port after :meth:`start`
         #: (the ephemeral port the kernel picked when constructed with 0).
         self.port = port
-        self._requested_port = port
-        self._registry_kwargs = dict(
-            capacity=capacity,
-            config=config,
-            refresh_policy=refresh_policy,
-            mmap=mmap,
-            keep_generations=keep_generations,
-        )
-        self._shared_prefix = shared_prefix
-        self._server_kwargs = dict(
-            num_workers=inner_workers,
-            max_batch_size=max_batch_size,
-        )
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(shard=shard_index)
         )
         self._lifecycle_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
-        self._startup_error: Optional[BaseException] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
         self._shared_store: Optional[SharedArrayStore] = None
         self._registry: Optional[BuildingRegistry] = None
         self._server: Optional[FleetServer] = None
         self._control_pool: Optional[ThreadPoolExecutor] = None
         self._vocab = MacVocab()
-        # Loop-thread-confined request state: the inflight count and the
-        # latency estimators backing the NACK hint are only ever touched on
-        # the loop thread, so they need no lock.
+        self._connections_lock = threading.Lock()
+        self._connections: Set[_Connection] = set()
+        self._readers: Set[threading.Thread] = set()
+        # Server-wide request state, shared by every connection's reader
+        # and the completion callbacks: the inflight count and the latency
+        # estimator behind the NACK hint.
+        self._inflight_lock = threading.Lock()
         self._inflight = 0
         self._latency_ewma: Optional[float] = None
         metrics = self.telemetry.metrics
@@ -207,78 +268,86 @@ class ShardServer:
 
     @property
     def running(self) -> bool:
-        """Whether the asyncio serving thread is alive and accepting."""
-        return self._thread is not None and self._thread.is_alive()
+        """Whether the serving stack is up (started and not yet stopped)."""
+        return self._server is not None
 
     def start(self) -> "ShardServer":
-        """Build the serving stack, bind the listener, and begin accepting."""
+        """Build the serving stack and, with a ``host``, begin accepting."""
         with self._lifecycle_lock:
-            if self._thread is not None:
+            if self._server is not None:
                 return self
+            listener = None
+            if self.host is not None:
+                listener = socket.create_server((self.host, self.port))
+                self.port = listener.getsockname()[1]
             self.telemetry.events.emit(EVENT_SHARD_START, pid=os.getpid())
+            spec = self.spec
             self._shared_store = (
-                SharedArrayStore(prefix=self._shared_prefix)
-                if self._shared_prefix is not None
+                SharedArrayStore(prefix=spec.shared_prefix)
+                if spec.shared_prefix is not None
                 else None
             )
             self._registry = BuildingRegistry(
-                store_dir=str(self.store_dir),
+                store_dir=str(spec.store_dir),
+                capacity=spec.capacity,
+                config=spec.config,
+                refresh_policy=spec.refresh_policy,
+                mmap=spec.mmap,
                 shared_store=self._shared_store,
                 telemetry=self.telemetry,
-                **self._registry_kwargs,
+                keep_generations=spec.keep_generations,
             )
-            self._server = FleetServer(self._registry, **self._server_kwargs).start()
+            self._server = FleetServer(
+                self._registry,
+                num_workers=spec.inner_workers,
+                max_batch_size=spec.max_batch_size,
+            ).start()
             self._control_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"shard-{self.shard_index}-control"
             )
-            self._startup_error = None
-            self._loop = asyncio.new_event_loop()
-            started = threading.Event()
-            self._thread = threading.Thread(
-                target=self._run_loop,
-                args=(started,),
-                name=f"shard-server-{self.shard_index}",
-                daemon=True,
-            )
-            self._thread.start()
-            started.wait()
-            if self._startup_error is not None:
-                error = self._startup_error
-                self._thread.join(timeout=5.0)
-                self._thread = None
-                self._teardown_stack()
-                raise error
+            if listener is not None:
+                self._listener = listener
+                self._accept_thread = threading.Thread(
+                    target=self._accept_loop,
+                    args=(listener,),
+                    name=f"shard-server-{self.shard_index}-accept",
+                    daemon=True,
+                )
+                self._accept_thread.start()
             return self
 
     def stop(self, timeout_s: float = 60.0) -> None:
         """Drain in-flight labels, flush their responses, and shut down."""
         with self._lifecycle_lock:
-            if self._thread is None:
+            if self._server is None:
                 return
-            # Drain the inner server first: completions flush their
-            # response frames through the still-running loop, so a clean
-            # stop never drops answers to accepted requests.
+            if self._listener is not None:
+                try:
+                    self._listener.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                self._listener.close()
+                self._accept_thread.join(timeout=timeout_s)
+                self._listener = None
+                self._accept_thread = None
+            # Drain the inner server first: completions write their
+            # response frames on still-open connections, so a clean stop
+            # never drops answers to accepted requests.
             self._server.stop()
             self._control_pool.shutdown(wait=True)
-            try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass  # loop already gone
-            self._thread.join(timeout=timeout_s)
-            self._thread = None
-            self._teardown_stack()
-
-    def _teardown_stack(self) -> None:
-        if self._server is not None and self._server.running:
-            self._server.stop()
-        self._server = None
-        self._registry = None
-        if self._control_pool is not None:
-            self._control_pool.shutdown(wait=True)
+            with self._connections_lock:
+                connections = list(self._connections)
+                readers = list(self._readers)
+            for connection in connections:
+                connection.shutdown()
+            for reader in readers:
+                reader.join(timeout=timeout_s)
+            self._server = None
+            self._registry = None
             self._control_pool = None
-        if self._shared_store is not None:
-            self._shared_store.close()
-            self._shared_store = None
+            if self._shared_store is not None:
+                self._shared_store.close()
+                self._shared_store = None
 
     def __enter__(self) -> "ShardServer":
         return self.start()
@@ -286,134 +355,127 @@ class ShardServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- event loop ------------------------------------------------------------
+    # -- connections -----------------------------------------------------------
 
-    def _run_loop(self, started: threading.Event) -> None:
-        loop = self._loop
-        asyncio.set_event_loop(loop)
-
-        async def boot() -> None:
-            self._asyncio_server = await asyncio.start_server(
-                self._serve_connection, self.host, self._requested_port
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # listener shut by stop()
+            reader = threading.Thread(
+                target=self._serve_accepted,
+                args=(sock,),
+                name=f"shard-server-{self.shard_index}-conn",
+                daemon=True,
             )
-            self.port = self._asyncio_server.sockets[0].getsockname()[1]
+            with self._connections_lock:
+                self._readers.add(reader)
+            reader.start()
 
+    def _serve_accepted(self, sock: socket.socket) -> None:
         try:
-            loop.run_until_complete(boot())
-        except BaseException as error:  # noqa: BLE001 - surfaced to start()
-            self._startup_error = error
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
+            self.serve_connection(sock)
         finally:
-            self._asyncio_server.close()
-            loop.run_until_complete(self._asyncio_server.wait_closed())
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-            loop.run_until_complete(
-                asyncio.gather(*asyncio.all_tasks(loop), return_exceptions=True)
-            )
-            loop.close()
+            with self._connections_lock:
+                self._readers.discard(threading.current_thread())
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connected socket until its peer closes it.
+
+        Blocks on the calling thread.  When the peer closes (or
+        half-closes) its end, every request already accepted on this
+        connection is answered before the socket is closed.
+        """
+        connection = _Connection(sock)
+        with self._connections_lock:
+            self._connections.add(connection)
         try:
             while True:
                 try:
-                    header = await reader.readexactly(HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                    op, seq, payload = recv_frame(sock)
+                except FrameError as error:
+                    # Framing is lost; answer once (best effort) and close.
+                    self._send(
+                        connection,
+                        OP_ERR,
+                        error.seq if error.seq is not None else 0,
+                        _error_body(error),
+                    )
+                    break
+                except (EOFError, OSError):
                     # Peer closed — cleanly between frames or mid-frame;
                     # either way this connection is done, the server lives.
                     break
-                try:
-                    op, seq, length = parse_header(header)
-                    payload = await reader.readexactly(length) if length else b""
-                except FrameError as error:
-                    # Framing is lost; answer once (best effort) and close.
-                    self._write_frame(
-                        writer,
-                        OP_ERR,
-                        error.seq if error.seq is not None else 0,
-                        pickle.dumps(_picklable(error)),
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                self._bytes_received.inc(HEADER_SIZE + length)
-                self._dispatch(op, seq, payload, writer)
-        except asyncio.CancelledError:
-            # Server stopping: ending the task normally (instead of
-            # propagating the cancel) keeps asyncio.streams' done-callback
-            # from logging a spurious "exception in callback".
-            pass
+                self._bytes_received.inc(HEADER_SIZE + len(payload))
+                self._dispatch(connection, op, seq, payload)
+            connection.wait_answered()
         finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - transport already torn down
-                pass
+            with self._connections_lock:
+                self._connections.discard(connection)
+            sock.close()
 
-    # -- frame dispatch (loop thread) -------------------------------------------
+    # -- frame dispatch (reader threads) -----------------------------------------
 
-    def _write_frame(
-        self, writer: asyncio.StreamWriter, op: int, seq: int, payload: bytes = b""
+    def _send(
+        self,
+        connection: _Connection,
+        op: int,
+        seq: int,
+        payload: bytes = b"",
+        answers: bool = False,
     ) -> None:
-        if writer.is_closing():
-            return
         frame = encode_frame(op, seq, payload)
-        try:
-            writer.write(frame)
-        except Exception:  # noqa: BLE001 - peer vanished mid-write
-            return
-        self._bytes_sent.inc(len(frame))
-
-    def _threadsafe(self, callback, *args) -> None:
-        """Marshal ``callback`` onto the loop thread; drop it if the loop died."""
-        try:
-            self._loop.call_soon_threadsafe(callback, *args)
-        except RuntimeError:
-            pass
+        if connection.write(frame, answers):
+            self._bytes_sent.inc(len(frame))
 
     def _retry_after_hint(self) -> float:
-        if self._latency_ewma is not None:
-            return min(1.0, max(0.005, self._latency_ewma))
+        with self._inflight_lock:
+            ewma = self._latency_ewma
+        if ewma is not None:
+            return min(1.0, max(0.005, ewma))
         return _DEFAULT_RETRY_AFTER_S
 
     def _dispatch(
-        self, op: int, seq: int, payload: bytes, writer: asyncio.StreamWriter
+        self, connection: _Connection, op: int, seq: int, payload: bytes
     ) -> None:
         if op == OP_PING:
-            self._write_frame(writer, OP_PONG, seq, encode_pong(os.getpid()))
+            self._send(connection, OP_PONG, seq, encode_pong(os.getpid()))
         elif op in (OP_LABEL_BATCH, OP_LABEL_PICKLE):
-            self._dispatch_label(op, seq, payload, writer)
+            self._dispatch_label(connection, op, seq, payload)
         elif op == OP_CONTROL:
             try:
                 name, args = decode_control(payload)
             except FrameError as error:
                 # The frame itself was well-formed, so the stream is still
                 # in sync — reject the command, keep the connection.
-                self._write_frame(writer, OP_ERR, seq, pickle.dumps(_picklable(error)))
+                self._send(connection, OP_ERR, seq, _error_body(error))
                 return
-            self._control_pool.submit(self._run_control, name, args, seq, writer)
+            connection.accept()
+            try:
+                self._control_pool.submit(self._run_control, connection, name, args, seq)
+            except RuntimeError as error:  # stopping: the pool takes no more
+                self._send(connection, OP_ERR, seq, _error_body(error), answers=True)
         else:
             # A response op arriving at the server (parse_header already
             # rejected unknown codes).
-            self._write_frame(
-                writer,
+            self._send(
+                connection,
                 OP_ERR,
                 seq,
-                pickle.dumps(RuntimeError(f"unexpected frame op 0x{op:02x}")),
+                _error_body(RuntimeError(f"unexpected frame op 0x{op:02x}")),
             )
 
     def _dispatch_label(
-        self, op: int, seq: int, payload: bytes, writer: asyncio.StreamWriter
+        self, connection: _Connection, op: int, seq: int, payload: bytes
     ) -> None:
-        if self._inflight >= self.max_inflight:
+        with self._inflight_lock:
+            admitted = self._inflight < self.max_inflight
+            if admitted:
+                self._inflight += 1
+        if not admitted:
             self._nacks.inc()
-            self._write_frame(writer, OP_NACK, seq, encode_nack(self._retry_after_hint()))
+            self._send(connection, OP_NACK, seq, encode_nack(self._retry_after_hint()))
             return
         try:
             if op == OP_LABEL_BATCH:
@@ -427,45 +489,44 @@ class ShardServer:
                 validate_building_id(building_id)
             future = self._server.submit(building_id, records)
         except Exception as error:  # noqa: BLE001 - answered as a frame
-            self._write_frame(writer, OP_ERR, seq, pickle.dumps(_picklable(error)))
+            with self._inflight_lock:
+                self._inflight -= 1
+            self._send(connection, OP_ERR, seq, _error_body(error))
             return
-        self._inflight += 1
-        self._inflight_gauge.set(self._inflight)
+        connection.accept()
         accepted_at = time.perf_counter()
         future.add_done_callback(
-            lambda done: self._threadsafe(
-                self._complete_label, seq, writer, done, accepted_at
-            )
+            lambda done: self._complete_label(connection, seq, done, accepted_at)
         )
 
-    def _complete_label(self, seq, writer, future, accepted_at) -> None:
-        self._inflight -= 1
-        self._inflight_gauge.set(self._inflight)
+    def _complete_label(self, connection, seq, future, accepted_at) -> None:
         latency = time.perf_counter() - accepted_at
-        self._latency_ewma = (
-            latency
-            if self._latency_ewma is None
-            else 0.8 * self._latency_ewma + 0.2 * latency
-        )
+        with self._inflight_lock:
+            self._inflight -= 1
+            self._latency_ewma = (
+                latency
+                if self._latency_ewma is None
+                else 0.8 * self._latency_ewma + 0.2 * latency
+            )
         self._latency_hist.observe(latency)
         error = future.exception()
         if error is not None:
-            self._write_frame(writer, OP_ERR, seq, pickle.dumps(_picklable(error)))
+            self._send(connection, OP_ERR, seq, _error_body(error), answers=True)
             return
         encode_started = time.perf_counter()
         body = encode_labels(future.result().labels)
         self._frame_encode_hist.observe(time.perf_counter() - encode_started)
-        self._write_frame(writer, OP_OK_LABELS, seq, body)
+        self._send(connection, OP_OK_LABELS, seq, body, answers=True)
 
     # -- control plane (pool thread) --------------------------------------------
 
-    def _run_control(self, name: str, args: tuple, seq: int, writer) -> None:
+    def _run_control(self, connection: _Connection, name: str, args: tuple, seq: int) -> None:
         try:
             result = self._control(name, args)
             op, body = OP_OK_PICKLE, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as error:  # noqa: BLE001 - answered as a frame
-            op, body = OP_ERR, pickle.dumps(_picklable(error))
-        self._threadsafe(self._write_frame, writer, op, seq, body)
+            op, body = OP_ERR, _error_body(error)
+        self._send(connection, op, seq, body, answers=True)
 
     def _control(self, name: str, args: tuple):
         if name == "stats":
@@ -483,58 +544,28 @@ class ShardServer:
         if name == "handoff_import":
             return self._registry.import_building_state(args[0])
         if name == "telemetry":
-            self._server.sync_gauges()  # sampled gauges are set when scraped
+            # Sampled gauges are set when scraped, not per request.
+            self._server.sync_gauges()
+            with self._inflight_lock:
+                inflight = self._inflight
+            self._inflight_gauge.set(inflight)
             return (
                 self.telemetry.metrics.snapshot(),
                 self.telemetry.events.snapshot(),
                 self.telemetry.events.drops,
             )
-        if name == "stop":
-            # Ack first, stop shortly after: stop() joins the loop thread,
-            # so it cannot run inline under the reply write.
-            threading.Timer(0.2, self.stop).start()
-            return None
         raise RuntimeError(f"unknown control op {name!r}")
 
 
-def _tcp_shard_main(connection, spec, shard_index: int, host: str) -> None:
-    """Entry point of one spawned TCP shard worker process.
+def serve_local_shard(sock: socket.socket, spec: ShardSpec, shard_index: int) -> None:
+    """Entry point of one dispatcher-owned shard process.
 
-    Builds a :class:`ShardServer` from the dispatcher's ``_ShardSpec``
-    (duck-typed to avoid importing the dispatcher module here), reports the
-    bound ephemeral port back through the multiprocessing pipe as
-    ``("ready", port)`` — or ``("error", exception)`` — then blocks until
-    the parent signals stop (any message, or pipe EOF) and shuts down.
+    Serves ``sock`` — the worker's end of a ``socket.socketpair()`` — with a
+    listener-less :class:`ShardServer` until the dispatcher half-closes its
+    end, then answers what is left and exits.
     """
-    server = ShardServer(
-        store_dir=spec.store_dir,
-        host=host,
-        port=0,
-        shard_index=shard_index,
-        capacity=spec.capacity,
-        config=spec.config,
-        refresh_policy=spec.refresh_policy,
-        mmap=spec.mmap,
-        inner_workers=spec.inner_workers,
-        max_batch_size=spec.max_batch_size,
-        keep_generations=spec.keep_generations,
-        shared_prefix=spec.shared_prefix,
-        max_inflight=spec.max_inflight,
-    )
+    server = ShardServer(spec, host=None, shard_index=shard_index).start()
     try:
-        server.start()
-    except Exception as error:  # noqa: BLE001 - reported to the parent
-        try:
-            connection.send(("error", _picklable(error)))
-        finally:
-            connection.close()
-        return
-    try:
-        connection.send(("ready", server.port))
-        try:
-            connection.recv()  # blocks until the parent signals stop
-        except (EOFError, OSError):
-            pass  # parent is gone; shut down anyway
+        server.serve_connection(sock)
     finally:
         server.stop()
-        connection.close()

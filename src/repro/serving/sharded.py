@@ -16,11 +16,11 @@ fleet across worker processes:
   :func:`~repro.serving.artifacts.load_artifacts` ``mmap=True`` — sibling
   workers mapping one store share physical pages instead of each copying
   every array;
-* the dispatcher routes each :class:`LabelRequest` to the owning shard over
-  a lightweight pickle/pipe protocol (columnar payloads travel as compact
-  :class:`_WireBatch` columns and are re-interned against a shard-wide
-  vocabulary on arrival, so worker-side encoder translation caches stay
-  warm);
+* the dispatcher routes each :class:`LabelRequest` to the owning shard as
+  one frame of the binary protocol of :mod:`~repro.serving.transport`
+  (columnar payloads travel as compact :class:`_WireBatch` columns and are
+  re-interned against a shard-wide vocabulary on arrival, so worker-side
+  encoder translation caches stay warm);
 * per-shard request queues are **bounded**: once ``max_inflight`` label
   requests are outstanding on a shard, further submits fail fast with
   :class:`ShardOverloadedError` carrying a ``retry_after_s`` hint (derived
@@ -28,20 +28,17 @@ fleet across worker processes:
 * ``stats()``, ``drift_snapshot()`` and ``refresh_drifted()`` aggregate
   fleet-wide across the shards.
 
-Two transports carry the dispatcher-to-shard protocol:
-
-* ``transport="pipe"`` (default): pickle over multiprocessing pipes to
-  forked child processes — unchanged from the original design;
-* ``transport="tcp"``: the binary frame protocol of
-  :mod:`~repro.serving.transport` over persistent TCP connections to
-  :class:`~repro.serving.netserver.ShardServer` processes.  Shards may be
-  spawned locally on loopback ports, or the dispatcher may *connect only*
-  (``shard_addresses=[...]``) to shards it does not own — possibly on
-  other machines.  TCP shards are heartbeat-monitored: a shard that misses
-  ``heartbeat_miss_threshold`` consecutive pings (or drops its connection)
-  is removed from the ring, which remaps only ``~1/N`` of the fleet onto
-  the survivors — they lazily reload those buildings from the shared
-  artifact store, so serving continues through a shard loss.
+Every shard is a :class:`~repro.serving.netserver.ShardServer`.  By default
+the fleet forks them itself and talks to each over a
+``socket.socketpair()``; with ``shard_addresses=[...]`` it instead connects
+to shard servers it does not own, possibly on other machines.  Either way
+shards are heartbeat-monitored: a shard that misses
+``heartbeat_miss_threshold`` consecutive pings (or drops its connection) is
+removed from the ring, which remaps only ``~1/N`` of the fleet onto the
+survivors — they lazily reload those buildings from the shared artifact
+store, so serving continues through a shard loss.  Shards join and drain
+live (:meth:`ShardedFleetServer.join_shard` /
+:meth:`ShardedFleetServer.drain_shard`).
 
 The single-process server remains the engine — this module only adds the
 process fan-out, routing, and aggregation around it.
@@ -53,31 +50,23 @@ import bisect
 import hashlib
 import itertools
 import multiprocessing
-import os
 import pickle
 import socket
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.core.config import FisOneConfig
 from repro.core.refresh import RefreshReport
 from repro.serving.artifacts import has_artifacts
 from repro.serving.drift import DriftSnapshot, RefreshPolicy
-from repro.serving.netserver import _tcp_shard_main
-from repro.serving.registry import (
-    BuildingRegistry,
-    RegistryStats,
-    validate_building_id,
-)
+from repro.serving.netserver import ShardSpec, serve_local_shard
+from repro.serving.registry import RegistryStats, validate_building_id
 from repro.serving.results import LabelRequest, LabelResponse, ServerStats
-from repro.serving.server import MIN_STATS_WINDOW_S, FleetServer
+from repro.serving.server import MIN_STATS_WINDOW_S
 from repro.serving.shared_store import SharedArrayStore
 from repro.serving.transport import (
     HEADER_SIZE,
@@ -100,7 +89,7 @@ from repro.serving.transport import (
     encode_label_batch,
     recv_frame,
 )
-from repro.signals.batch import MacVocab, RecordBatch
+from repro.signals.batch import RecordBatch
 from repro.signals.record import SignalRecord
 from repro.telemetry import (
     EVENT_SHARD_DOWN,
@@ -108,7 +97,6 @@ from repro.telemetry import (
     EVENT_SHARD_EXIT,
     EVENT_SHARD_JOINED,
     EVENT_SHARD_RECOVERED,
-    EVENT_SHARD_START,
     FleetEvent,
     LatencyHistogram,
     MetricsSnapshot,
@@ -125,7 +113,7 @@ __all__ = [
     "ShardStats",
     "ShardedFleetServer",
     "stable_hash64",
-    # Relocated to repro.serving.transport (shared by both transports);
+    # Relocated to repro.serving.transport (the frame codec's columns);
     # re-exported here for existing importers.
     "_WireBatch",
 ]
@@ -151,8 +139,8 @@ def stable_hash64(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-#: A ring entry: a worker index (pipe / locally-spawned shards) or an
-#: opaque address string like ``"host:port"`` (connect-only TCP shards).
+#: A ring entry: a worker index (shards the fleet spawned) or an opaque
+#: address string like ``"host:port"`` (connect-only shards).
 RingEntry = Union[int, str]
 
 
@@ -305,227 +293,16 @@ class ShardDownError(RuntimeError):
     or missed heartbeats).
 
     Subclasses :class:`RuntimeError` for compatibility with callers that
-    caught the untyped error the pipe transport used to raise.  On the TCP
-    transport this is *retryable*: once the heartbeat monitor (or the
-    connection reader) removes the shard from the ring, resubmitting routes
-    the request to a surviving shard — :meth:`ShardedFleetServer.serve`
-    does exactly that.
+    catch an untyped error.  It is *retryable*: once the heartbeat monitor
+    (or the connection reader) removes the shard from the ring,
+    resubmitting routes the request to a surviving shard —
+    :meth:`ShardedFleetServer.serve` does exactly that.
     """
-
-
-@dataclass(frozen=True)
-class _ShardSpec:
-    """Everything a worker process needs to build its serving stack."""
-
-    store_dir: str
-    capacity: int
-    config: Optional[FisOneConfig]
-    refresh_policy: Optional[RefreshPolicy]
-    mmap: bool
-    inner_workers: int
-    max_batch_size: int
-    #: Artifact retention depth of each worker's registry (None = flat
-    #: store); all workers share one store, so they must agree on layout.
-    keep_generations: Optional[int] = None
-    #: When set, workers route artifact loads through a SharedArrayStore
-    #: under this segment prefix: the first worker to load a save decodes
-    #: and publishes it, siblings attach one physical copy.
-    shared_prefix: Optional[str] = None
-    #: Server-side bounded label window of a spawned TCP shard
-    #: (:class:`~repro.serving.netserver.ShardServer`); the pipe worker has
-    #: no server-side window (the dispatcher's is authoritative there).
-    max_inflight: int = 64
-
-
-def _picklable(error: BaseException) -> BaseException:
-    """The error itself when it survives pickling, else a summary of it.
-
-    Exceptions travel the pipe by pickle; one with unpicklable state must
-    not kill the response (and with it every future on the shard).
-    """
-    try:
-        pickle.dumps(error)
-    except Exception:
-        return RuntimeError(f"{type(error).__name__}: {error}")
-    return error
-
-
-def _shard_worker_main(connection, spec: _ShardSpec, shard_index: int = 0) -> None:
-    """One shard worker: an in-process FleetServer driven over a pipe.
-
-    Protocol (requests are ``(op, seq, *args)`` tuples, responses
-    ``("ok", seq, payload)`` or ``("err", seq, exception)``):
-
-    * ``("label", seq, building_id, payload)`` — payload is a
-      :class:`_WireBatch` or a tuple of records; answered asynchronously
-      with the label tuple once the inner server's future resolves, so many
-      label commands stay in flight and the inner dispatcher can coalesce.
-    * ``("stats", seq)`` — ``(ServerStats, RegistryStats)`` snapshot pair.
-    * ``("drift", seq, building_id)`` — the building's drift snapshot.
-    * ``("refresh", seq, building_ids)`` — refresh the listed drifted
-      buildings; runs on a side thread so label traffic keeps flowing.
-    * ``("rollback", seq, building_ids)`` — roll the listed buildings back
-      to a retained prior generation where their current one shows drift;
-      same side-thread discipline as ``refresh``.
-    * ``("telemetry", seq)`` — ``(MetricsSnapshot, events, drops)`` triple:
-      the worker's merged metric state (every family carrying this shard's
-      ``shard`` const label), its buffered lifecycle events, and the event
-      ring's drop count.
-    * ``("warm", seq, building_ids)`` — preload the listed buildings into
-      the registry cache (membership changes and replication followers);
-      answers with the warmed count.  Runs on the control thread so label
-      traffic keeps flowing through the loads.
-    * ``("handoff_export", seq, building_ids_or_None)`` — the registry's
-      portable per-building serving state (buffered drift records + hot
-      flags) for a planned drain; ``None`` exports everything.
-    * ``("handoff_import", seq, state)`` — adopt a draining peer's
-      exported state; answers with the number of records imported.
-    * ``("ping", seq)`` — liveness check; answers with the worker pid.
-    * ``("stop", seq)`` — drain in-flight batches, ack, and exit.
-    """
-    telemetry = Telemetry(shard=shard_index)
-    telemetry.events.emit(EVENT_SHARD_START, pid=os.getpid())
-    shared_store = (
-        SharedArrayStore(prefix=spec.shared_prefix)
-        if spec.shared_prefix is not None
-        else None
-    )
-    registry = BuildingRegistry(
-        store_dir=spec.store_dir,
-        capacity=spec.capacity,
-        config=spec.config,
-        refresh_policy=spec.refresh_policy,
-        mmap=spec.mmap,
-        shared_store=shared_store,
-        telemetry=telemetry,
-        keep_generations=spec.keep_generations,
-    )
-    wire_decode_hist = telemetry.metrics.histogram(
-        "fleet_wire_decode_seconds",
-        "Worker-side re-interning of one wire batch into the shard vocabulary",
-    )
-    vocab = MacVocab()
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        try:
-            with send_lock:
-                connection.send(message)
-        except (OSError, ValueError, BrokenPipeError):
-            # The parent is gone; there is nobody left to answer.
-            pass
-
-    def complete(seq: int, future: "Future[LabelResponse]") -> None:
-        error = future.exception()
-        if error is not None:
-            send(("err", seq, _picklable(error)))
-        else:
-            send(("ok", seq, future.result().labels))
-
-    server = FleetServer(
-        registry,
-        num_workers=spec.inner_workers,
-        max_batch_size=spec.max_batch_size,
-    ).start()
-    control_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="shard-control")
-    stop_seq: Optional[int] = None
-    try:
-        while True:
-            try:
-                message = connection.recv()
-            except (EOFError, OSError):
-                break
-            op, seq = message[0], message[1]
-            if op == "label":
-                building_id, payload = message[2], message[3]
-                try:
-                    if isinstance(payload, _WireBatch):
-                        decode_started = time.perf_counter()
-                        records = payload.to_batch(vocab)
-                        wire_decode_hist.observe(time.perf_counter() - decode_started)
-                    else:
-                        records = payload
-                    future = server.submit(building_id, records)
-                except Exception as error:  # noqa: BLE001 - travels the pipe
-                    send(("err", seq, _picklable(error)))
-                    continue
-                future.add_done_callback(partial(complete, seq))
-            elif op == "stats":
-                send(("ok", seq, (server.stats(), registry.stats)))
-            elif op == "drift":
-                try:
-                    send(("ok", seq, registry.drift_snapshot(message[2])))
-                except Exception as error:  # noqa: BLE001 - travels the pipe
-                    send(("err", seq, _picklable(error)))
-            elif op == "refresh":
-                building_ids = message[2]
-
-                def run_refresh(seq: int = seq, building_ids=building_ids) -> None:
-                    try:
-                        send(("ok", seq, server.refresh_drifted(building_ids)))
-                    except Exception as error:  # noqa: BLE001 - travels the pipe
-                        send(("err", seq, _picklable(error)))
-
-                control_pool.submit(run_refresh)
-            elif op == "rollback":
-                building_ids = message[2]
-
-                def run_rollback(seq: int = seq, building_ids=building_ids) -> None:
-                    try:
-                        send(("ok", seq, server.rollback_drifted(building_ids)))
-                    except Exception as error:  # noqa: BLE001 - travels the pipe
-                        send(("err", seq, _picklable(error)))
-
-                control_pool.submit(run_rollback)
-            elif op in ("warm", "handoff_export", "handoff_import"):
-                argument = message[2]
-
-                def run_registry_op(seq: int = seq, op: str = op, argument=argument) -> None:
-                    try:
-                        if op == "warm":
-                            result = registry.warm(argument)
-                        elif op == "handoff_export":
-                            result = registry.export_building_state(argument)
-                        else:
-                            result = registry.import_building_state(argument)
-                        send(("ok", seq, result))
-                    except Exception as error:  # noqa: BLE001 - travels the pipe
-                        send(("err", seq, _picklable(error)))
-
-                control_pool.submit(run_registry_op)
-            elif op == "telemetry":
-                server.sync_gauges()  # sampled gauges are set when scraped
-                send(
-                    (
-                        "ok",
-                        seq,
-                        (
-                            telemetry.metrics.snapshot(),
-                            telemetry.events.snapshot(),
-                            telemetry.events.drops,
-                        ),
-                    )
-                )
-            elif op == "ping":
-                send(("ok", seq, os.getpid()))
-            elif op == "stop":
-                stop_seq = seq
-                break
-            else:
-                send(("err", seq, RuntimeError(f"unknown shard op {op!r}")))
-    finally:
-        control_pool.shutdown(wait=True)
-        server.stop()  # drains; label callbacks have all sent by return
-        if shared_store is not None:
-            shared_store.close()
-        if stop_seq is not None:
-            send(("ok", stop_seq, None))
-        connection.close()
 
 
 @dataclass
 class _Pending:
-    """One outstanding command on a shard, parent side."""
+    """One outstanding command on a shard, dispatcher side."""
 
     kind: str  # "label" or "control"
     future: Future
@@ -536,7 +313,7 @@ class _Pending:
 
 @dataclass(frozen=True)
 class ShardStats:
-    """One worker's serving counters, as reported over the pipe."""
+    """One worker's serving counters, as reported over its connection."""
 
     shard: int
     server: ServerStats
@@ -580,69 +357,111 @@ class ShardPressure:
 
 
 class _ShardHandle:
-    """Dispatcher-side bookkeeping one shard needs, whatever its transport.
+    """Dispatcher side of one shard: a framed connection and its window.
 
-    Owns the pending map, the bounded inflight window, and the latency
-    estimators behind ``retry_after_s``.  Subclasses supply the wire
-    (:meth:`_send_label` / :meth:`_send_control`, raising
-    :class:`ShardDownError` on a broken link) and a reader loop that pops
-    completions through :meth:`_pop_pending` and ends in
-    :meth:`_fail_pending`.
+    The connection is the dispatcher's end of a socketpair to a worker
+    process the fleet forked (``process`` set) or a TCP connection to a
+    shard server it does not own (``address`` set, which reconnects
+    re-dial).  The handle owns the pending map, the bounded inflight
+    window, and the latency estimators behind ``retry_after_s``.
+
+    Label payloads go out as binary ``OP_LABEL_BATCH`` frames (or pickled
+    ``OP_LABEL_PICKLE`` frames for tuple-of-record requests); control ops
+    ride pickled ``OP_CONTROL`` frames, and ``"ping"`` maps to the tiny
+    ``OP_PING`` heartbeat.  A server-side ``OP_NACK`` completes the pending
+    future with :class:`ShardOverloadedError`, so saturation at the far end
+    surfaces exactly like saturation of the local window.  When the
+    connection drops, pending futures fail and ``on_connection_lost`` fires
+    once — the dispatcher uses it to resize the ring.
     """
 
-    transport = "?"
-
     def __init__(
-        self, index: int, max_inflight: int, telemetry: Optional[Telemetry] = None
+        self,
+        index: int,
+        sock: socket.socket,
+        max_inflight: int,
+        telemetry: Optional[Telemetry] = None,
+        *,
+        address: Optional[Tuple[str, int]] = None,
+        process=None,
+        on_connection_lost=None,
     ) -> None:
         self.index = index
         #: This shard's identity on the consistent-hash ring: the worker
-        #: index for owned shards, an address string for connect-only ones.
-        self.entry: "RingEntry" = index
+        #: index for owned shards, ``"host:port"`` for connect-only ones.
+        self.entry: RingEntry = index if address is None else "%s:%d" % address
+        self.sock = sock
+        #: Where a connect-only shard listens; ``None`` for owned workers.
+        self.address = address
+        #: The worker process of an owned shard; ``None`` for remote ones.
+        self.process = process
         self.max_inflight = max_inflight
         self.lock = threading.Lock()
+        self.send_lock = threading.Lock()
         self.pending: Dict[int, _Pending] = {}
         self.inflight = 0
         self.dead = False
         #: Set by the server before an intentional teardown, so the reader
         #: observing the closed connection does not trigger failover.
         self.closed = False
+        self.missed_heartbeats = 0
+        self.on_connection_lost = on_connection_lost
+        self._lost_reported = False
         self.latency_ewma: Optional[float] = None
         # The full submit-to-completion distribution of this shard, parent
         # side.  Deliberately independent of the telemetry registry: the
         # backpressure hint below must work even with telemetry disabled.
         self.latency_hist = LatencyHistogram()
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
-        self._roundtrip_hist = self.telemetry.metrics.histogram(
+        metrics = self.telemetry.metrics
+        self._roundtrip_hist = metrics.histogram(
             "fleet_shard_roundtrip_seconds",
             "Parent-observed submit-to-completion time per shard",
             shard=str(index),
         )
-        self._inflight_gauge = self.telemetry.metrics.gauge(
+        self._inflight_gauge = metrics.gauge(
             "fleet_shard_inflight",
             "Label requests outstanding on one shard's bounded window",
+            shard=str(index),
+        )
+        self._frame_encode_hist = metrics.histogram(
+            "fleet_frame_encode_seconds",
+            "Encode of one label batch into a binary frame",
+            side="dispatcher",
+            shard=str(index),
+        )
+        self._frame_decode_hist = metrics.histogram(
+            "fleet_frame_decode_seconds",
+            "Decode of one binary label response frame",
+            side="dispatcher",
+            shard=str(index),
+        )
+        self._bytes_sent = metrics.counter(
+            "fleet_transport_bytes_sent_total",
+            "Frame bytes written to shard connections",
+            side="dispatcher",
+            shard=str(index),
+        )
+        self._bytes_received = metrics.counter(
+            "fleet_transport_bytes_received_total",
+            "Frame bytes read from shard connections",
+            side="dispatcher",
             shard=str(index),
         )
         self._seq = itertools.count()
         self.reader = threading.Thread(
             target=self._read_loop,
-            name=f"fleet-{self.transport}-shard-{index}-reader",
+            name=f"fleet-shard-{index}-reader",
             daemon=True,
         )
 
-    # -- wire hooks (subclass responsibility) -----------------------------------
-
-    def _send_label(self, seq: int, building_id: str, payload) -> None:
-        raise NotImplementedError
-
-    def _send_control(self, seq: int, op: str, args: tuple) -> None:
-        raise NotImplementedError
-
-    def _read_loop(self) -> None:
-        raise NotImplementedError
-
     def _down_error(self) -> ShardDownError:
-        raise NotImplementedError
+        if self.address is None:
+            return ShardDownError(f"fleet shard {self.index} worker has exited")
+        host, port = self.address
+        return ShardDownError(
+            f"fleet shard {self.index} connection to {host}:{port} is down"
+        )
 
     # -- submission ------------------------------------------------------------
 
@@ -679,6 +498,10 @@ class _ShardHandle:
     def submit_label(
         self, building_id: str, payload, request_id: str
     ) -> "Future[LabelResponse]":
+        # Encode before taking a window slot: a payload that fails to
+        # encode must leave nothing registered.
+        seq = next(self._seq)
+        frame = self._label_frame(seq, building_id, payload)
         with self.lock:
             if self.dead:
                 raise self._down_error()
@@ -686,7 +509,6 @@ class _ShardHandle:
                 raise ShardOverloadedError(
                     self.index, self.max_inflight, self.retry_after_hint()
                 )
-            seq = next(self._seq)
             pending = _Pending(
                 kind="label",
                 future=Future(),
@@ -696,30 +518,57 @@ class _ShardHandle:
             self.pending[seq] = pending
             self.inflight += 1
             self._inflight_gauge.set(self.inflight)
-            try:
-                self._send_label(seq, building_id, payload)
-            except ShardDownError:
-                self.pending.pop(seq, None)
-                self.inflight -= 1
-                self._inflight_gauge.set(self.inflight)
-                self.dead = True
-                raise
+        self._send(seq, frame)
         return pending.future
 
     def submit_control(self, op: str, *args) -> Future:
+        seq = next(self._seq)
+        if op == "ping":
+            frame = encode_frame(OP_PING, seq)
+        else:
+            frame = encode_frame(OP_CONTROL, seq, encode_control(op, args))
         with self.lock:
             if self.dead:
                 raise self._down_error()
-            seq = next(self._seq)
             pending = _Pending(kind="control", future=Future())
             self.pending[seq] = pending
-            try:
-                self._send_control(seq, op, args)
-            except ShardDownError:
-                self.pending.pop(seq, None)
-                self.dead = True
-                raise
+        self._send(seq, frame)
         return pending.future
+
+    def _label_frame(self, seq: int, building_id: str, payload) -> bytes:
+        if isinstance(payload, _WireBatch):
+            encode_started = time.perf_counter()
+            frame = encode_frame(
+                OP_LABEL_BATCH, seq, encode_label_batch(building_id, payload)
+            )
+            self._frame_encode_hist.observe(time.perf_counter() - encode_started)
+            return frame
+        return encode_frame(
+            OP_LABEL_PICKLE,
+            seq,
+            pickle.dumps((building_id, payload), protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    def _send(self, seq: int, frame: bytes) -> None:
+        """Write one request frame; a broken connection withdraws it.
+
+        Writes take their own lock, never ``self.lock``: the reader must
+        keep draining responses while a sender waits on a full socket.
+        """
+        try:
+            with self.send_lock:
+                self.sock.sendall(frame)
+        except OSError as error:
+            with self.lock:
+                entry = self.pending.pop(seq, None)
+                if entry is not None and entry.kind == "label":
+                    self.inflight -= 1
+                    self._inflight_gauge.set(self.inflight)
+                self.dead = True
+            raise ShardDownError(
+                f"fleet shard {self.index} connection is broken: {error}"
+            ) from None
+        self._bytes_sent.inc(len(frame))
 
     # -- response bookkeeping ---------------------------------------------------
 
@@ -749,198 +598,6 @@ class _ShardHandle:
         if latency is not None:
             self._roundtrip_hist.observe(latency)
         return entry, latency
-
-    def _fail_pending(self) -> None:
-        with self.lock:
-            self.dead = True
-            entries = list(self.pending.values())
-            self.pending.clear()
-            self.inflight = 0
-            self._inflight_gauge.set(0)
-        # Emitted parent-side: a worker that died cannot report its own exit,
-        # and on a clean stop this records the drain point of the shard.
-        self.telemetry.events.emit(
-            EVENT_SHARD_EXIT, shard=self.index, pending_failed=len(entries)
-        )
-        for entry in entries:
-            if entry.future.set_running_or_notify_cancel():
-                entry.future.set_exception(
-                    ShardDownError(
-                        f"fleet shard {self.index} exited with requests in flight"
-                    )
-                )
-
-
-class _Shard(_ShardHandle):
-    """Handle of one owned worker process over a multiprocessing pipe."""
-
-    transport = "pipe"
-
-    def __init__(
-        self,
-        index: int,
-        process,
-        connection,
-        max_inflight: int,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        super().__init__(index, max_inflight, telemetry)
-        self.process = process
-        self.connection = connection
-
-    def _down_error(self) -> ShardDownError:
-        return ShardDownError(f"fleet shard {self.index} worker has exited")
-
-    def _send_label(self, seq: int, building_id: str, payload) -> None:
-        try:
-            self.connection.send(("label", seq, building_id, payload))
-        except (OSError, ValueError, BrokenPipeError) as error:
-            raise ShardDownError(
-                f"fleet shard {self.index} pipe is broken: {error}"
-            ) from None
-
-    def _send_control(self, seq: int, op: str, args: tuple) -> None:
-        try:
-            self.connection.send((op, seq) + args)
-        except (OSError, ValueError, BrokenPipeError) as error:
-            raise ShardDownError(
-                f"fleet shard {self.index} pipe is broken: {error}"
-            ) from None
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self.connection.recv()
-            except (EOFError, OSError):
-                break
-            kind, seq, payload = message
-            entry, latency = self._pop_pending(seq)
-            if entry is None:
-                continue
-            if not entry.future.set_running_or_notify_cancel():
-                continue
-            if kind == "err":
-                entry.future.set_exception(payload)
-            elif entry.kind == "label":
-                entry.future.set_result(
-                    LabelResponse(
-                        request_id=entry.request_id,
-                        building_id=entry.building_id,
-                        labels=tuple(payload),
-                        latency_s=latency,
-                    )
-                )
-            else:
-                entry.future.set_result(payload)
-        self._fail_pending()
-
-
-class _TcpShard(_ShardHandle):
-    """Handle of one TCP shard: persistent framed connection, same window.
-
-    Label payloads go out as binary ``OP_LABEL_BATCH`` frames (or pickled
-    ``OP_LABEL_PICKLE`` frames for tuple-of-record requests); control ops
-    ride pickled ``OP_CONTROL`` frames, and ``"ping"`` maps to the tiny
-    ``OP_PING`` heartbeat.  A server-side ``OP_NACK`` completes the pending
-    future with :class:`ShardOverloadedError`, so saturation at the far end
-    surfaces exactly like saturation of the local window.  When the
-    connection drops, pending futures fail and ``on_connection_lost`` fires
-    once — the dispatcher uses it to resize the ring.
-    """
-
-    transport = "tcp"
-
-    def __init__(
-        self,
-        index: int,
-        address: Tuple[str, int],
-        max_inflight: int,
-        telemetry: Optional[Telemetry] = None,
-        entry: Optional["RingEntry"] = None,
-        connect_timeout_s: float = 10.0,
-        on_connection_lost=None,
-    ) -> None:
-        super().__init__(index, max_inflight, telemetry)
-        self.address = address
-        if entry is not None:
-            self.entry = entry
-        #: Process / control-pipe handles of a locally-spawned shard;
-        #: ``None`` for connect-only shards the dispatcher does not own.
-        self.process = None
-        self.control_conn = None
-        self.missed_heartbeats = 0
-        self.on_connection_lost = on_connection_lost
-        self._lost_reported = False
-        metrics = self.telemetry.metrics
-        self._frame_encode_hist = metrics.histogram(
-            "fleet_frame_encode_seconds",
-            "Encode of one label batch into a binary frame",
-            side="dispatcher",
-            shard=str(index),
-        )
-        self._frame_decode_hist = metrics.histogram(
-            "fleet_frame_decode_seconds",
-            "Decode of one binary label response frame",
-            side="dispatcher",
-            shard=str(index),
-        )
-        self._bytes_sent = metrics.counter(
-            "fleet_transport_bytes_sent_total",
-            "Frame bytes written to shard connections",
-            side="dispatcher",
-            shard=str(index),
-        )
-        self._bytes_received = metrics.counter(
-            "fleet_transport_bytes_received_total",
-            "Frame bytes read from shard connections",
-            side="dispatcher",
-            shard=str(index),
-        )
-        self.sock = socket.create_connection(address, timeout=connect_timeout_s)
-        self.sock.settimeout(None)
-        try:
-            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # platform without TCP_NODELAY; latency hint only
-
-    def _down_error(self) -> ShardDownError:
-        host, port = self.address
-        return ShardDownError(
-            f"fleet shard {self.index} connection to {host}:{port} is down"
-        )
-
-    def _sendall(self, frame: bytes) -> None:
-        try:
-            self.sock.sendall(frame)
-        except OSError as error:
-            raise ShardDownError(
-                f"fleet shard {self.index} connection is broken: {error}"
-            ) from None
-        self._bytes_sent.inc(len(frame))
-
-    def _send_label(self, seq: int, building_id: str, payload) -> None:
-        if isinstance(payload, _WireBatch):
-            encode_started = time.perf_counter()
-            frame = encode_frame(
-                OP_LABEL_BATCH, seq, encode_label_batch(building_id, payload)
-            )
-            self._frame_encode_hist.observe(time.perf_counter() - encode_started)
-        else:
-            frame = encode_frame(
-                OP_LABEL_PICKLE,
-                seq,
-                pickle.dumps(
-                    (building_id, payload), protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
-        self._sendall(frame)
-
-    def _send_control(self, seq: int, op: str, args: tuple) -> None:
-        if op == "ping":
-            frame = encode_frame(OP_PING, seq)
-        else:
-            frame = encode_frame(OP_CONTROL, seq, encode_control(op, args))
-        self._sendall(frame)
 
     def _read_loop(self) -> None:
         while True:
@@ -1004,10 +661,57 @@ class _TcpShard(_ShardHandle):
         if callback is not None:
             callback(self)
 
-    def close(self) -> None:
-        """Tear the connection down intentionally (no failover callback)."""
+    def _fail_pending(self) -> None:
+        with self.lock:
+            self.dead = True
+            entries = list(self.pending.values())
+            self.pending.clear()
+            self.inflight = 0
+            self._inflight_gauge.set(0)
+        # Emitted parent-side: a worker that died cannot report its own exit,
+        # and on a clean stop this records the drain point of the shard.
+        self.telemetry.events.emit(
+            EVENT_SHARD_EXIT, shard=self.index, pending_failed=len(entries)
+        )
+        for entry in entries:
+            if entry.future.set_running_or_notify_cancel():
+                entry.future.set_exception(
+                    ShardDownError(
+                        f"fleet shard {self.index} exited with requests in flight"
+                    )
+                )
+
+    # -- teardown ---------------------------------------------------------------
+
+    def begin_release(self) -> None:
+        """Start an intentional teardown (no failover callback).
+
+        An owned worker gets a half-close: it reads EOF, answers every
+        request it accepted, and exits, and the reader keeps collecting
+        those answers until the worker's end closes.
+        """
         self.closed = True
+        if self.process is not None:
+            try:
+                self.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+
+    def release(self, timeout_s: float) -> None:
+        """Finish an intentional teardown begun by :meth:`begin_release`."""
+        started = self.reader.ident is not None
+        if self.process is not None:
+            # The worker closes its end once every answer is written; the
+            # reader collects them up to that EOF before the socket goes.
+            if started:
+                self.reader.join(timeout=timeout_s)
+            self.process.join(timeout=timeout_s)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(timeout=5.0)
         self.abort()
+        if started:
+            self.reader.join(timeout=timeout_s)
 
     def abort(self) -> None:
         """Force the socket shut; the reader observes EOF and fails pending."""
@@ -1068,35 +772,28 @@ class ShardedFleetServer:
         running and coalesces those arriving behind a running batch, up to
         ``max_batch_size`` — batch size follows load, with no timer.
     start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (fast,
-        no re-import) and falls back to ``spawn`` where fork is unavailable.
+        ``multiprocessing`` start method of the worker processes; default
+        prefers ``fork`` (fast, no re-import) and falls back to ``spawn``
+        where fork is unavailable.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink for the
         *dispatcher side* (wire-encode time, per-shard roundtrip and
         inflight, rejections, shard lifecycle events).  Each worker builds
         its own sink with a ``shard`` const label; :meth:`fleet_metrics` /
         :meth:`fleet_events` merge both sides into one fleet-wide view.
-    transport:
-        ``"pipe"`` (default, pickle over multiprocessing pipes — unchanged
-        behaviour) or ``"tcp"`` (binary frames over persistent loopback
-        connections to spawned :class:`~repro.serving.netserver.ShardServer`
-        processes).
     shard_addresses:
-        Connect-only TCP mode: ``"host:port"`` strings (or ``(host, port)``
-        pairs) of externally-managed shard servers.  Implies
-        ``transport="tcp"``; ``num_workers`` is taken from the list, the
-        ring keys shards by address, and :meth:`stop` disconnects without
-        stopping the remote servers.
-    listen_host:
-        Bind host of locally-spawned TCP shards (default loopback).
+        Connect-only mode: ``"host:port"`` strings (or ``(host, port)``
+        pairs) of externally-managed shard servers.  ``num_workers`` is
+        taken from the list, the ring keys shards by address, and
+        :meth:`stop` disconnects without stopping the remote servers.
     heartbeat_interval_s, heartbeat_miss_threshold, heartbeat_timeout_s:
-        TCP liveness monitoring: every interval each shard is pinged; a
+        Liveness monitoring: every interval each shard is pinged; a
         shard missing ``heartbeat_miss_threshold`` consecutive answers
         (each waited on for ``heartbeat_timeout_s``, default the interval)
         is marked down and failed over.  Connection drops short-circuit
         the wait — the reader detects those immediately.
     connect_timeout_s:
-        TCP connect (and reconnect) timeout per shard.
+        Connect (and reconnect) timeout per connect-mode shard.
     replication:
         Placement factor: each building maps to ``replication`` distinct
         ring entries — a primary (the classic owner, which serves its
@@ -1129,9 +826,7 @@ class ShardedFleetServer:
         start_method: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         keep_generations: Optional[int] = None,
-        transport: str = "pipe",
         shard_addresses: Optional[Sequence[Union[str, Tuple[str, int]]]] = None,
-        listen_host: str = "127.0.0.1",
         heartbeat_interval_s: float = 1.0,
         heartbeat_miss_threshold: int = 3,
         heartbeat_timeout_s: Optional[float] = None,
@@ -1140,13 +835,10 @@ class ShardedFleetServer:
         read_fanout: bool = False,
     ) -> None:
         if shard_addresses is not None:
-            transport = "tcp"
             shard_addresses = list(shard_addresses)
             if not shard_addresses:
                 raise ValueError("shard_addresses must name at least one shard")
             num_workers = len(shard_addresses)
-        if transport not in ("pipe", "tcp"):
-            raise ValueError(f"unknown transport {transport!r}")
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if max_inflight < 1:
@@ -1169,13 +861,11 @@ class ShardedFleetServer:
         self.store_dir = Path(store_dir)
         self.num_workers = num_workers
         self.max_inflight = max_inflight
-        self.transport = transport
         self._addresses = (
             [_parse_address(address) for address in shard_addresses]
             if shard_addresses is not None
             else None
         )
-        self._listen_host = listen_host
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_miss_threshold = heartbeat_miss_threshold
         self._heartbeat_timeout_s = (
@@ -1195,7 +885,7 @@ class ShardedFleetServer:
             if shared
             else None
         )
-        self._spec = _ShardSpec(
+        self._spec = ShardSpec(
             store_dir=str(self.store_dir),
             capacity=shard_capacity,
             config=config,
@@ -1216,20 +906,16 @@ class ShardedFleetServer:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._encode_hist = self.telemetry.metrics.histogram(
             "fleet_wire_encode_seconds",
-            "Dispatcher-side flattening of one columnar batch for the pipe",
+            "Dispatcher-side flattening of one columnar batch into wire columns",
         )
-        if transport == "tcp":
-            self._failovers = self.telemetry.metrics.counter(
-                "fleet_transport_failovers_total",
-                "Shards removed from the ring after missed heartbeats or drops",
-            )
-            self._reconnects = self.telemetry.metrics.counter(
-                "fleet_transport_reconnects_total",
-                "Successful reconnects to previously-down shards",
-            )
-        else:
-            self._failovers = None
-            self._reconnects = None
+        self._failovers = self.telemetry.metrics.counter(
+            "fleet_transport_failovers_total",
+            "Shards removed from the ring after missed heartbeats or drops",
+        )
+        self._reconnects = self.telemetry.metrics.counter(
+            "fleet_transport_reconnects_total",
+            "Successful reconnects to previously-down shards",
+        )
         self._shards: List[_ShardHandle] = []
         self._shard_by_entry: Dict[RingEntry, _ShardHandle] = {}
         # Guards _shards/_shard_by_entry against concurrent membership
@@ -1315,12 +1001,10 @@ class ShardedFleetServer:
         with self._lifecycle_lock:
             if self._shards:
                 return self
-            if self.transport == "pipe":
-                shards = self._start_pipe_shards(ping_timeout_s)
-            elif self._addresses is not None:
-                shards = self._connect_tcp_shards(ping_timeout_s)
+            if self._addresses is not None:
+                shards = self._connect_shards(ping_timeout_s)
             else:
-                shards = self._spawn_tcp_shards(ping_timeout_s)
+                shards = self._spawn_shards(ping_timeout_s)
             with self._membership_lock:
                 self._shards = shards
                 self._shard_by_entry = {shard.entry: shard for shard in shards}
@@ -1335,12 +1019,11 @@ class ShardedFleetServer:
                 # failover promotes a *warm* follower, which only holds
                 # once this first sweep has completed.
                 self.warm_followers(timeout_s=ping_timeout_s)
-            if self.transport == "tcp":
-                self._heartbeat_stop.clear()
-                self._heartbeat_thread = threading.Thread(
-                    target=self._heartbeat_loop, name="fleet-heartbeat", daemon=True
-                )
-                self._heartbeat_thread.start()
+            self._heartbeat_stop.clear()
+            self._heartbeat_thread = threading.Thread(
+                target=self._heartbeat_loop, name="fleet-heartbeat", daemon=True
+            )
+            self._heartbeat_thread.start()
             now = time.perf_counter()
             with self._stats_lock:
                 if self._stopped_elapsed is not None:
@@ -1350,154 +1033,97 @@ class ShardedFleetServer:
                 self._stopped_elapsed = None
             return self
 
-    def _start_pipe_shards(self, ping_timeout_s: float) -> List[_ShardHandle]:
-        processes = []
-        # Fork every worker before starting any parent-side reader
-        # thread: forking a multi-threaded process is where the
-        # fork/threads hazards live.
-        for index in range(self.num_workers):
-            parent_end, child_end = self._context.Pipe(duplex=True)
-            process = self._context.Process(
-                target=_shard_worker_main,
-                args=(child_end, self._spec, index),
-                name=f"fleet-shard-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            processes.append((index, process, parent_end))
-        shards: List[_ShardHandle] = []
-        try:
-            for index, process, parent_end in processes:
-                shard = _Shard(
-                    index, process, parent_end, self.max_inflight, self.telemetry
-                )
-                shard.reader.start()
-                shards.append(shard)
-            for shard in shards:
-                shard.submit_control("ping").result(timeout=ping_timeout_s)
-        except BaseException:
-            # Tear down everything spawned so far — including workers
-            # whose _Shard handle was never constructed.
-            for _, process, parent_end in processes:
-                parent_end.close()
-                process.terminate()
-                process.join(timeout=5.0)
-            for shard in shards:
-                shard.reader.join(timeout=5.0)
-            raise
-        return shards
+    def _fork_worker(self, index: int) -> _ShardHandle:
+        """Fork one ShardServer worker on a socketpair; returns its handle.
 
-    def _fork_tcp_worker(self, index: int):
-        """Fork one ShardServer worker process; returns ``(process, conn)``."""
-        parent_end, child_end = self._context.Pipe(duplex=True)
+        The reader thread is not started yet: callers fork every worker
+        before starting any, because forking a multi-threaded process is
+        where the fork/threads hazards live.
+        """
+        parent_end, child_end = socket.socketpair()
         process = self._context.Process(
-            target=_tcp_shard_main,
-            args=(child_end, self._spec, index, self._listen_host),
-            name=f"fleet-tcp-shard-{index}",
+            target=serve_local_shard,
+            args=(child_end, self._spec, index),
+            name=f"fleet-shard-{index}",
             daemon=True,
         )
-        process.start()
-        child_end.close()
-        return process, parent_end
-
-    def _await_tcp_worker_port(
-        self, index: int, conn, ping_timeout_s: float
-    ) -> int:
-        """Wait for a forked worker's ``("ready", port)`` handshake."""
-        if not conn.poll(ping_timeout_s):
-            raise RuntimeError(
-                f"fleet shard {index} did not report its port "
-                f"within {ping_timeout_s}s"
-            )
-        status, detail = conn.recv()
-        if status != "ready":
-            if isinstance(detail, BaseException):
-                raise detail
-            raise RuntimeError(f"fleet shard {index} failed to start: {detail}")
-        return detail
-
-    def _connect_spawned_worker(self, index: int, process, conn, port: int) -> _TcpShard:
-        """Dial a spawned worker's port and start its reader thread."""
-        shard = _TcpShard(
+        try:
+            process.start()
+        except BaseException:
+            parent_end.close()
+            raise
+        finally:
+            child_end.close()
+        return _ShardHandle(
             index,
-            (self._listen_host, port),
+            parent_end,
             self.max_inflight,
             self.telemetry,
-            connect_timeout_s=self._connect_timeout_s,
+            process=process,
             on_connection_lost=self._on_shard_connection_lost,
         )
-        shard.process = process
-        shard.control_conn = conn
-        shard.reader.start()
-        return shard
 
-    def _spawn_tcp_shards(self, ping_timeout_s: float) -> List[_ShardHandle]:
-        """Spawn ShardServer processes on ephemeral loopback ports."""
-        # Fork every worker before starting any parent-side reader thread
-        # (same fork/threads discipline as the pipe transport).
-        processes = [
-            (index, *self._fork_tcp_worker(index))
-            for index in range(self.num_workers)
-        ]
+    def _spawn_shards(self, ping_timeout_s: float) -> List[_ShardHandle]:
+        """Fork one local ShardServer per worker and wait for their pings."""
         shards: List[_ShardHandle] = []
         try:
-            endpoints = []
-            for index, process, conn in processes:
-                port = self._await_tcp_worker_port(index, conn, ping_timeout_s)
-                endpoints.append((index, process, conn, port))
-            for index, process, conn, port in endpoints:
-                shards.append(
-                    self._connect_spawned_worker(index, process, conn, port)
-                )
+            for index in range(self.num_workers):
+                shards.append(self._fork_worker(index))
+            for shard in shards:
+                shard.reader.start()
             for shard in shards:
                 shard.submit_control("ping").result(timeout=ping_timeout_s)
         except BaseException:
-            for shard in shards:
-                shard.close()
-            for _, process, conn in processes:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                process.terminate()
-                process.join(timeout=5.0)
-            for shard in shards:
-                shard.reader.join(timeout=5.0)
+            self._release(shards, timeout_s=5.0)
             raise
         return shards
 
-    def _connect_tcp_shards(self, ping_timeout_s: float) -> List[_ShardHandle]:
+    def _connect_shards(self, ping_timeout_s: float) -> List[_ShardHandle]:
         """Connect to externally-managed shard servers (no spawning)."""
         shards: List[_ShardHandle] = []
         try:
-            for index, (host, port) in enumerate(self._addresses):
-                shard = _TcpShard(
-                    index,
-                    (host, port),
-                    self.max_inflight,
-                    self.telemetry,
-                    entry=f"{host}:{port}",
-                    connect_timeout_s=self._connect_timeout_s,
-                    on_connection_lost=self._on_shard_connection_lost,
-                )
-                shard.reader.start()
-                shards.append(shard)
+            for index, address in enumerate(self._addresses):
+                shards.append(self._dial(index, address))
             for shard in shards:
                 shard.submit_control("ping").result(timeout=ping_timeout_s)
         except BaseException:
-            for shard in shards:
-                shard.close()
-            for shard in shards:
-                shard.reader.join(timeout=5.0)
+            self._release(shards, timeout_s=5.0)
             raise
         return shards
+
+    def _dial(self, index: int, address: Tuple[str, int]) -> _ShardHandle:
+        """Connect to a shard server and start the handle's reader."""
+        sock = socket.create_connection(address, timeout=self._connect_timeout_s)
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        shard = _ShardHandle(
+            index,
+            sock,
+            self.max_inflight,
+            self.telemetry,
+            address=address,
+            on_connection_lost=self._on_shard_connection_lost,
+        )
+        shard.reader.start()
+        return shard
+
+    @staticmethod
+    def _release(shards: Sequence[_ShardHandle], timeout_s: float) -> None:
+        """Intentionally tear shards down: owned workers drain and exit.
+
+        Every worker is half-closed before any is joined, so they drain in
+        parallel; connect-only shards are merely disconnected.
+        """
+        for shard in shards:
+            shard.begin_release()
+        for shard in shards:
+            shard.release(timeout_s)
 
     def stop(self, timeout_s: float = 60.0) -> None:
         """Drain every shard, stop owned workers, and join their processes.
 
-        Connect-only TCP shards are merely disconnected — the dispatcher
-        does not own their lifecycle.
+        Connect-only shards are merely disconnected — the dispatcher does
+        not own their lifecycle.
         """
         with self._lifecycle_lock:
             if not self._shards:
@@ -1506,10 +1132,7 @@ class ShardedFleetServer:
                 self._heartbeat_stop.set()
                 self._heartbeat_thread.join(timeout=timeout_s)
                 self._heartbeat_thread = None
-            if self.transport == "pipe":
-                self._stop_pipe_shards(timeout_s)
-            else:
-                self._stop_tcp_shards(timeout_s)
+            self._release(self._live_shards(), timeout_s)
             with self._membership_lock:
                 self._shards = []
                 self._shard_by_entry = {}
@@ -1523,53 +1146,6 @@ class ShardedFleetServer:
             with self._stats_lock:
                 if self._started_at is not None:
                     self._stopped_elapsed = time.perf_counter() - self._started_at
-
-    def _stop_pipe_shards(self, timeout_s: float) -> None:
-        acks = []
-        for shard in self._shards:
-            try:
-                acks.append(shard.submit_control("stop"))
-            except RuntimeError:
-                pass  # already dead; nothing to drain
-        for ack in acks:
-            try:
-                ack.result(timeout=timeout_s)
-            except Exception:  # noqa: BLE001 - worker died mid-drain
-                pass
-        for shard in self._shards:
-            shard.process.join(timeout=timeout_s)
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=5.0)
-            shard.connection.close()
-            shard.reader.join(timeout=timeout_s)
-
-    def _stop_tcp_shards(self, timeout_s: float) -> None:
-        # Mark closed first: the readers observing the teardown must not
-        # treat it as a failure and start failing shards over.
-        for shard in self._shards:
-            shard.closed = True
-        for shard in self._shards:
-            # Spawned workers drain in-flight labels (flushing their
-            # responses) before exiting; the stop signal is the mp pipe.
-            if shard.control_conn is not None and not shard.dead:
-                try:
-                    shard.control_conn.send(("stop",))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-        for shard in self._shards:
-            if shard.process is not None:
-                shard.process.join(timeout=timeout_s)
-                if shard.process.is_alive():
-                    shard.process.terminate()
-                    shard.process.join(timeout=5.0)
-            if shard.control_conn is not None:
-                try:
-                    shard.control_conn.close()
-                except OSError:
-                    pass
-            shard.close()
-            shard.reader.join(timeout=timeout_s)
 
     def __enter__(self) -> "ShardedFleetServer":
         return self.start()
@@ -1587,13 +1163,10 @@ class ShardedFleetServer:
     def _route(self, building_id: str) -> _ShardHandle:
         """The live shard handle owning ``building_id``.
 
-        On TCP, a shard found dead at routing time is failed over on the
-        spot — the ring resizes and the lookup repeats against the
-        survivors — rather than bouncing the request off a handle the
-        failure detector has not yet processed.  The pipe transport keeps
-        its original behaviour: route to the owner and let the submit
-        raise if the worker has exited (no failover without a shared
-        network store of truth about *why* it exited).
+        A shard found dead at routing time is failed over on the spot —
+        the ring resizes and the lookup repeats against the survivors —
+        rather than bouncing the request off a handle the failure detector
+        has not yet processed.
         """
         shards = self._live_shards()
         if not shards:
@@ -1604,7 +1177,7 @@ class ShardedFleetServer:
             shard = self._lookup_entry(entry)
             if shard is None:  # stop() raced the lookup
                 raise RuntimeError("the server is not running; call start() first")
-            if self.transport == "pipe" or not shard.dead:
+            if not shard.dead:
                 return shard
             if not self._mark_shard_down(shard, reason="dead at routing"):
                 raise shard._down_error()
@@ -1627,8 +1200,7 @@ class ShardedFleetServer:
             except ValueError:
                 return False
             self._live_shards_gauge.set(self._ring.num_shards)
-        if self._failovers is not None:
-            self._failovers.inc()
+        self._failovers.inc()
         self.telemetry.events.emit(
             EVENT_SHARD_DOWN,
             shard=shard.index,
@@ -1642,13 +1214,13 @@ class ShardedFleetServer:
         return True
 
     def _on_shard_connection_lost(self, shard: _ShardHandle) -> None:
-        """Reader-thread callback: a TCP shard's connection dropped."""
+        """Reader-thread callback: a shard's connection dropped."""
         if shard.closed:
             return  # intentional teardown, not a failure
         self._mark_shard_down(shard, reason="connection lost")
 
     def _heartbeat_loop(self) -> None:
-        """Ping every TCP shard each interval; fail over persistent silence.
+        """Ping every shard each interval; fail over persistent silence.
 
         A shard that misses ``heartbeat_miss_threshold`` consecutive pings
         is removed from the ring and its connection aborted (failing any
@@ -1683,38 +1255,28 @@ class ShardedFleetServer:
     def _try_reconnect(self, shard: _ShardHandle) -> None:
         """One reconnect attempt to a down connect-mode shard."""
         try:
-            replacement = _TcpShard(
-                shard.index,
-                shard.address,
-                self.max_inflight,
-                self.telemetry,
-                entry=shard.entry,
-                connect_timeout_s=self._connect_timeout_s,
-                on_connection_lost=self._on_shard_connection_lost,
-            )
+            replacement = self._dial(shard.index, shard.address)
         except OSError:
             return  # still down; next tick tries again
-        replacement.reader.start()
         try:
             replacement.submit_control("ping").result(
                 timeout=self._heartbeat_timeout_s
             )
         except Exception:  # noqa: BLE001 - connected but not serving yet
-            replacement.close()
+            self._release([replacement], timeout_s=5.0)
             return
         with self._membership_lock:
             try:
                 position = self._shards.index(shard)
             except ValueError:
-                replacement.close()
+                self._release([replacement], timeout_s=5.0)
                 return
             self._shards[position] = replacement
             self._shard_by_entry[replacement.entry] = replacement
         with self._ring_lock:
             self._ring = self._ring.with_entry(replacement.entry)
             self._live_shards_gauge.set(self._ring.num_shards)
-        if self._reconnects is not None:
-            self._reconnects.inc()
+        self._reconnects.inc()
         self.telemetry.events.emit(
             EVENT_SHARD_RECOVERED, shard=shard.index, entry=str(shard.entry)
         )
@@ -1732,8 +1294,9 @@ class ShardedFleetServer:
         """Add one shard to the live fleet; returns its new ring entry.
 
         With ``address=None`` (owned fleets only) a fresh
-        :class:`~repro.serving.netserver.ShardServer` worker is spawned on
-        an ephemeral loopback port — the autoscaler's grow path.  With an
+        :class:`~repro.serving.netserver.ShardServer` worker is forked on a
+        socketpair, like the ones :meth:`start` spawns — the autoscaler's
+        grow path.  With an
         ``address`` (``"host:port"`` or a pair) the dispatcher connects to
         an externally-managed shard server instead.
 
@@ -1755,21 +1318,19 @@ class ShardedFleetServer:
             (default).  Disable only when the caller has warmed the shard
             itself.
         timeout_s:
-            Bound on the spawn handshake, the ping, and the warm sweep.
+            Bound on the newcomer's first ping and the warm sweep.
 
         Raises
         ------
         RuntimeError
-            If the fleet is not running, not on the TCP transport, or a
-            spawn was requested from a connect-only fleet.
+            If the fleet is not running, or a spawn was requested from a
+            connect-only fleet.
         ValueError
             If ``address`` is malformed or already on the ring.
 
         Thread-safe: serialized against :meth:`drain_shard`, :meth:`start`
         and :meth:`stop` by the lifecycle lock.
         """
-        if self.transport != "tcp":
-            raise RuntimeError("join_shard requires the TCP transport")
         with self._lifecycle_lock:
             if not self._live_shards():
                 raise RuntimeError("the server is not running; call start() first")
@@ -1782,44 +1343,22 @@ class ShardedFleetServer:
                 with self._membership_lock:
                     index = self._next_spawn_index
                     self._next_spawn_index += 1
-                process, conn = self._fork_tcp_worker(index)
-                shard: _ShardHandle
-                try:
-                    port = self._await_tcp_worker_port(index, conn, timeout_s)
-                    shard = self._connect_spawned_worker(index, process, conn, port)
-                    shard.submit_control("ping").result(timeout=timeout_s)
-                except BaseException:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    process.terminate()
-                    process.join(timeout=5.0)
-                    raise
-                entry: RingEntry = index
+                shard = self._fork_worker(index)
+                shard.reader.start()
             else:
                 host, port = _parse_address(address)
-                entry = f"{host}:{port}"
-                if self._lookup_entry(entry) is not None:
-                    raise ValueError(f"shard {entry} is already part of the fleet")
+                if self._lookup_entry(f"{host}:{port}") is not None:
+                    raise ValueError(f"shard {host}:{port} is already part of the fleet")
                 with self._membership_lock:
                     index = self._next_spawn_index
                     self._next_spawn_index += 1
-                shard = _TcpShard(
-                    index,
-                    (host, port),
-                    self.max_inflight,
-                    self.telemetry,
-                    entry=entry,
-                    connect_timeout_s=self._connect_timeout_s,
-                    on_connection_lost=self._on_shard_connection_lost,
-                )
-                shard.reader.start()
-                try:
-                    shard.submit_control("ping").result(timeout=timeout_s)
-                except BaseException:
-                    shard.close()
-                    raise
+                shard = self._dial(index, (host, port))
+            entry = shard.entry
+            try:
+                shard.submit_control("ping").result(timeout=timeout_s)
+            except BaseException:
+                self._release([shard], timeout_s=5.0)
+                raise
             with self._ring_lock:
                 candidate = self._ring.with_entry(entry)
             warmed = 0
@@ -1894,8 +1433,6 @@ class ShardedFleetServer:
 
         Raises
         ------
-        RuntimeError
-            If the fleet is not running or not on the TCP transport.
         ValueError
             If the entry is unknown, or it is the last shard (a fleet
             cannot drain itself to zero).
@@ -1903,8 +1440,6 @@ class ShardedFleetServer:
         Thread-safe: serialized against :meth:`join_shard`, :meth:`start`
         and :meth:`stop` by the lifecycle lock.
         """
-        if self.transport != "tcp":
-            raise RuntimeError("drain_shard requires the TCP transport")
         if isinstance(entry, (tuple, list)):
             host, port = _parse_address(entry)
             entry = f"{host}:{port}"
@@ -1969,23 +1504,7 @@ class ShardedFleetServer:
                     self._shards.remove(shard)
                 if self._shard_by_entry.get(entry) is shard:
                     del self._shard_by_entry[entry]
-            if shard.control_conn is not None:
-                try:
-                    shard.control_conn.send(("stop",))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-            if shard.process is not None:
-                shard.process.join(timeout=timeout_s)
-                if shard.process.is_alive():
-                    shard.process.terminate()
-                    shard.process.join(timeout=5.0)
-            if shard.control_conn is not None:
-                try:
-                    shard.control_conn.close()
-                except OSError:
-                    pass
-            shard.close()
-            shard.reader.join(timeout=timeout_s)
+            self._release([shard], timeout_s)
             self._membership_drains.inc()
             self.telemetry.events.emit(
                 EVENT_SHARD_DRAINED,
@@ -2188,9 +1707,9 @@ class ShardedFleetServer:
 
         A submit rejected by a full shard sleeps out the advertised
         ``retry_after_s`` and retries — the closed-loop discipline
-        backpressure asks of well-behaved clients.  On TCP the same
+        backpressure asks of well-behaved clients.  The same
         discipline extends past the local window: a server-side ``NACK``
-        (the remote window was full) backs off and resubmits, and a request
+        (the shard's own window was full) backs off and resubmits, and a request
         stranded on a shard that died mid-flight is resubmitted once the
         ring has failed the shard over — labeling is idempotent and the
         ``request_id`` is preserved, so a retry is indistinguishable from
@@ -2214,7 +1733,7 @@ class ShardedFleetServer:
                 # again fails it over to a survivor.  Each failed attempt
                 # removes a shard from the ring, so the retry budget is one
                 # pass over the fleet.
-                if self.transport != "tcp" or not self.running:
+                if not self.running:
                     raise
                 down_attempts += 1
                 if down_attempts > len(self._live_shards()):
@@ -2239,7 +1758,7 @@ class ShardedFleetServer:
                 time.sleep(error.retry_after_s)
                 future = self._submit_retrying(request)
             except ShardDownError:
-                if self.transport != "tcp" or not self.running:
+                if not self.running:
                     raise
                 # The owning shard died with this request in flight; the
                 # ring has (or is about to have) failed it over, so the

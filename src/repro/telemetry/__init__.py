@@ -1,4 +1,4 @@
-"""Fleet telemetry: latency histograms, labeled metrics, events, capacity.
+"""Fleet telemetry: latency histograms, labeled metrics, events.
 
 The observability core the serving stack instruments into:
 
@@ -20,9 +20,6 @@ The observability core the serving stack instruments into:
 * :mod:`~repro.telemetry.exposition` — :class:`MetricsHTTPServer`: a
   stdlib ``http.server`` ``/metrics`` endpoint, so the fleet is scrapeable
   with zero dependencies.
-* :mod:`~repro.telemetry.capacity` — :class:`CapacityPlanner`: drive the
-  open-loop load generator over arrival-rate x skew x worker-count grids and
-  answer ``plan(target_rps, p99_budget_s)`` with a recommended worker count.
 """
 
 from repro.telemetry.histogram import (
@@ -63,18 +60,6 @@ from repro.telemetry.events import (
 from repro.telemetry.context import Telemetry
 from repro.telemetry.exposition import MetricsHTTPServer
 
-# Imported last: capacity drives the simulator's traffic generator and lazily
-# pulls in the sharded server (which imports this package) — everything above
-# must already be bound before this line for those cycles to resolve.
-from repro.telemetry.capacity import (
-    CapacityPlan,
-    CapacityPlanner,
-    CapacityPoint,
-    measure_capacity_point,
-    plan_to_payload,
-    sweep_capacity,
-)
-
 __all__ = [
     "BIN_EDGES",
     "BIN_HIGHEST",
@@ -107,10 +92,4 @@ __all__ = [
     "summarize_events",
     "Telemetry",
     "MetricsHTTPServer",
-    "CapacityPlan",
-    "CapacityPlanner",
-    "CapacityPoint",
-    "measure_capacity_point",
-    "plan_to_payload",
-    "sweep_capacity",
 ]

@@ -132,7 +132,6 @@ class TestLiveJoin:
             num_workers=2,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
         ) as fleet:
             assert label_tuples(
                 serve_sequentially(fleet_submit(fleet), requests)
@@ -179,13 +178,14 @@ class TestLiveJoin:
     def test_join_validates_transport_and_state(self, ops_store):
         store, _ = ops_store
         fleet = ShardedFleetServer(store, num_workers=1, config=FAST_CONFIG)
-        with pytest.raises(RuntimeError, match="TCP transport"):
-            fleet.join_shard()
-        tcp_fleet = ShardedFleetServer(
-            store, num_workers=1, config=FAST_CONFIG, transport="tcp"
-        )
         with pytest.raises(RuntimeError, match="not running"):
-            tcp_fleet.join_shard()
+            fleet.join_shard()
+        # A default-constructed fleet owns its shards, so it can grow.
+        with fleet:
+            assert fleet.join_shard(timeout_s=120.0) == 1
+            with fleet._ring_lock:
+                assert set(fleet._ring.entries) == {0, 1}
+            assert fleet.running
 
 
 class TestDrain:
@@ -199,7 +199,6 @@ class TestDrain:
             num_workers=3,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
         ) as fleet:
             assert label_tuples(
                 serve_sequentially(fleet_submit(fleet), requests)
@@ -230,7 +229,6 @@ class TestDrain:
             num_workers=3,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             heartbeat_interval_s=0.1,
             heartbeat_miss_threshold=2,
         ) as fleet:
@@ -251,7 +249,7 @@ class TestDrain:
     def test_drain_refuses_last_shard_and_unknown_entries(self, ops_store):
         store, streams = ops_store
         with ShardedFleetServer(
-            store, num_workers=1, config=FAST_CONFIG, transport="tcp"
+            store, num_workers=1, config=FAST_CONFIG
         ) as fleet:
             with pytest.raises(ValueError, match="last shard"):
                 fleet.drain_shard(0)
@@ -271,7 +269,6 @@ class TestReplication:
             num_workers=3,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             replication=2,
             heartbeat_interval_s=0.1,
             heartbeat_miss_threshold=2,
@@ -337,7 +334,6 @@ class TestReplication:
             num_workers=2,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             replication=2,
             read_fanout=True,
             max_inflight=1,
@@ -377,7 +373,6 @@ class TestStatsRace:
             num_workers=3,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             heartbeat_interval_s=0.1,
             heartbeat_miss_threshold=2,
         ) as fleet:
@@ -432,7 +427,6 @@ class TestAutoscaler:
             num_workers=1,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             max_inflight=2,
         ) as fleet:
             autoscaler = Autoscaler(fleet, policy=policy, interval_s=60.0, seed=0)
@@ -488,7 +482,7 @@ class TestAutoscaler:
     def test_daemon_lifecycle_and_hold_reasons(self, ops_store):
         store, _ = ops_store
         with ShardedFleetServer(
-            store, num_workers=1, config=FAST_CONFIG, transport="tcp"
+            store, num_workers=1, config=FAST_CONFIG
         ) as fleet:
             autoscaler = Autoscaler(
                 fleet,

@@ -1,18 +1,21 @@
-"""TCP fleet transport end-to-end: identity, backpressure, failover.
+"""Sharded fleet over the frame protocol: identity, backpressure, failover.
 
-The contract under test: ``transport="tcp"`` is an invisible substitution —
-labels bit-identical to the pipe transport and to a single-process
-:class:`FleetServer` — while adding what only a network transport can
-offer: shards in unrelated processes (connect mode), server-side NACK
-backpressure that survives the wire, and heartbeat-driven failover that
-keeps serving through a SIGKILLed shard.
+The contract under test: a fleet of :class:`ShardServer` shards — forked
+locally on socketpairs, or reached over TCP in connect mode — labels
+bit-identically to a single-process :class:`FleetServer`, while adding
+shards in unrelated processes (connect mode), server-side NACK
+backpressure that survives the wire, heartbeat-driven failover that keeps
+serving through a SIGKILLed shard, and a threaded shard server whose
+connections fail and drain independently.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -26,9 +29,21 @@ from repro.serving import (
     LabelRequest,
     ShardedFleetServer,
     ShardServer,
+    ShardSpec,
 )
 from repro.serving.sharded import ConsistentHashRing, ShardDownError, stable_hash64
-from repro.serving.transport import OP_ERR, OP_PING, OP_PONG, encode_frame, recv_frame
+from repro.serving.transport import (
+    OP_ERR,
+    OP_LABEL_BATCH,
+    OP_LABEL_PICKLE,
+    OP_NACK,
+    OP_OK_LABELS,
+    OP_PING,
+    OP_PONG,
+    decode_labels,
+    encode_frame,
+    recv_frame,
+)
 from repro.simulate import generate_single_building
 from repro.telemetry import EVENT_SHARD_DOWN, EVENT_SHARD_RECOVERED
 
@@ -60,6 +75,11 @@ def net_store(tmp_path_factory):
         registry.get(building_id)
         streams[building_id] = [record.without_floor() for record in stream]
     return store, streams
+
+
+def shard_spec(store, **overrides):
+    """The spec of a 4-model shard server over ``store``."""
+    return ShardSpec(str(store), config=FAST_CONFIG, capacity=4, **overrides)
 
 
 def make_requests(streams, chunk=5):
@@ -137,37 +157,15 @@ class TestTcpIdentity:
             num_workers=num_workers,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
         ) as fleet:
             responses = serve_sequentially(fleet_submit(fleet), make_requests(streams))
         assert label_tuples(responses) == reference_labels
-
-    def test_tcp_labels_match_pipe_labels(self, net_store):
-        store, streams = net_store
-        requests = make_requests(streams)
-        with ShardedFleetServer(
-            store, num_workers=2, config=FAST_CONFIG, shard_capacity=4
-        ) as pipe_fleet:
-            pipe_labels = label_tuples(
-                serve_sequentially(fleet_submit(pipe_fleet), requests)
-            )
-        with ShardedFleetServer(
-            store,
-            num_workers=2,
-            config=FAST_CONFIG,
-            shard_capacity=4,
-            transport="tcp",
-        ) as tcp_fleet:
-            tcp_labels = label_tuples(
-                serve_sequentially(fleet_submit(tcp_fleet), requests)
-            )
-        assert tcp_labels == pipe_labels
 
     def test_pipelined_serve_completes_in_request_order(self, net_store):
         store, streams = net_store
         requests = make_requests(streams)
         with ShardedFleetServer(
-            store, num_workers=2, config=FAST_CONFIG, transport="tcp"
+            store, num_workers=2, config=FAST_CONFIG
         ) as fleet:
             responses = fleet.serve(requests)
         assert [r.request_id for r in responses] == [r.request_id for r in requests]
@@ -181,7 +179,7 @@ class TestTcpIdentity:
         store, streams = net_store
         requests = make_requests(streams)
         servers = [
-            ShardServer(store, shard_index=index, config=FAST_CONFIG, capacity=4).start()
+            ShardServer(shard_spec(store), shard_index=index).start()
             for index in range(2)
         ]
         try:
@@ -189,7 +187,6 @@ class TestTcpIdentity:
             with ShardedFleetServer(
                 store, config=FAST_CONFIG, shard_addresses=addresses
             ) as fleet:
-                assert fleet.transport == "tcp"
                 assert fleet.num_workers == 2
                 responses = fleet.serve(requests)
             assert len(responses) == len(requests)
@@ -205,7 +202,7 @@ class TestTcpIdentity:
     def test_fleet_stats_and_telemetry_merge_over_tcp(self, net_store):
         store, streams = net_store
         with ShardedFleetServer(
-            store, num_workers=2, config=FAST_CONFIG, transport="tcp"
+            store, num_workers=2, config=FAST_CONFIG
         ) as fleet:
             fleet.serve(make_requests(streams)[:4])
             stats = fleet.stats()
@@ -228,9 +225,7 @@ class TestBackpressure:
         ShardOverloadedError and serve() honours the retry hint.
         """
         store, streams = net_store
-        server = ShardServer(
-            store, config=FAST_CONFIG, capacity=4, max_inflight=1
-        ).start()
+        server = ShardServer(shard_spec(store, max_inflight=1)).start()
         try:
             host, port = server.address
             with ShardedFleetServer(
@@ -277,7 +272,6 @@ class TestFailover:
             num_workers=3,
             config=FAST_CONFIG,
             shard_capacity=4,
-            transport="tcp",
             heartbeat_interval_s=0.1,
             heartbeat_miss_threshold=2,
         ) as fleet:
@@ -313,7 +307,6 @@ class TestFailover:
             store,
             num_workers=1,
             config=FAST_CONFIG,
-            transport="tcp",
             heartbeat_interval_s=0.1,
             heartbeat_miss_threshold=2,
         ) as fleet:
@@ -332,7 +325,7 @@ class TestFailover:
         probe.bind((host, 0))
         port = probe.getsockname()[1]
         probe.close()
-        server = ShardServer(store, host, port, config=FAST_CONFIG, capacity=4).start()
+        server = ShardServer(shard_spec(store), host, port).start()
         requests = make_requests(streams)[:2]
         try:
             with ShardedFleetServer(
@@ -348,9 +341,7 @@ class TestFailover:
                 while time.monotonic() < deadline and not fleet._shards[0].dead:
                     time.sleep(0.05)
                 assert fleet._shards[0].dead
-                server = ShardServer(
-                    store, host, port, config=FAST_CONFIG, capacity=4
-                ).start()
+                server = ShardServer(shard_spec(store), host, port).start()
                 deadline = time.monotonic() + 10.0
                 recovered = ()
                 while time.monotonic() < deadline:
@@ -372,7 +363,7 @@ class TestFailover:
 class TestServerRobustness:
     def test_garbage_connection_does_not_kill_the_server(self, net_store):
         store, _ = net_store
-        server = ShardServer(store, config=FAST_CONFIG).start()
+        server = ShardServer(ShardSpec(str(store), config=FAST_CONFIG)).start()
         try:
             # A peer speaking not-the-protocol gets an error (or a close),
             # and the listener keeps serving well-formed peers.
@@ -395,7 +386,7 @@ class TestServerRobustness:
 
     def test_mid_frame_disconnect_leaves_server_healthy(self, net_store):
         store, _ = net_store
-        server = ShardServer(store, config=FAST_CONFIG).start()
+        server = ShardServer(ShardSpec(str(store), config=FAST_CONFIG)).start()
         try:
             for _ in range(3):
                 rude = socket.create_connection(server.address, timeout=5.0)
@@ -409,3 +400,148 @@ class TestServerRobustness:
             polite.close()
         finally:
             server.stop()
+
+
+def label_frame(seq, request):
+    """One pickled-record label frame, as the dispatcher sends it."""
+    payload = pickle.dumps((request.building_id, tuple(request.records)))
+    return encode_frame(OP_LABEL_PICKLE, seq, payload)
+
+
+def read_answers(sock, count):
+    """``{seq: (op, payload)}`` of ``count`` response frames, each seq once."""
+    answers = {}
+    for _ in range(count):
+        op, seq, payload = recv_frame(sock)
+        assert seq not in answers, f"seq {seq} answered twice"
+        answers[seq] = (op, payload)
+    return answers
+
+
+class TestThreadedShardServer:
+    def test_two_connections_share_one_inflight_window(self, net_store):
+        """Two pipelining connections saturate one server-wide window.
+
+        Every frame is answered exactly once, as labels or as a NACK; the
+        window NACKs at ``max_inflight`` and its count never leaves
+        ``[0, max_inflight]``; and only the accepted requests reach the
+        inner server.
+        """
+        store, streams = net_store
+        requests = make_requests(streams, chunk=3)
+        server = ShardServer(shard_spec(store, max_inflight=2)).start()
+        samples = []
+        sampling = threading.Event()
+
+        def sample_window():
+            while not sampling.is_set():
+                samples.append(server._inflight)
+
+        sampler = threading.Thread(target=sample_window)
+        sampler.start()
+        try:
+            clients = [socket.create_connection(server.address) for _ in range(2)]
+            for client in clients:
+                client.sendall(
+                    b"".join(label_frame(seq, r) for seq, r in enumerate(requests))
+                )
+            answers = [read_answers(client, len(requests)) for client in clients]
+            sampling.set()
+            sampler.join()
+            for client in clients:
+                client.close()
+            labeled = 0
+            for per_client in answers:
+                assert set(per_client) == set(range(len(requests)))
+                for seq, (op, payload) in per_client.items():
+                    assert op in (OP_OK_LABELS, OP_NACK)
+                    if op == OP_OK_LABELS:
+                        labeled += 1
+                        assert [label.record_id for label in decode_labels(payload)] == [
+                            record.record_id for record in requests[seq].records
+                        ]
+            nacked = 2 * len(requests) - labeled
+            assert nacked > 0 and labeled > 0
+            assert samples and min(samples) >= 0 and max(samples) <= 2
+            assert server._inflight == 0
+            stats = server._server.stats()
+            assert stats.num_requests == labeled
+            assert server.telemetry.metrics.snapshot().value(
+                "fleet_transport_nacks_total", shard="0", side="server"
+            ) == nacked
+        finally:
+            sampling.set()
+            sampler.join()
+            server.stop()
+
+    def test_garbage_on_one_connection_leaves_another_labeling(self, net_store):
+        store, streams = net_store
+        requests = make_requests(streams)[:6]
+        server = ShardServer(shard_spec(store)).start()
+        try:
+            polite = socket.create_connection(server.address, timeout=30.0)
+            polite.sendall(label_frame(0, requests[0]))
+            assert recv_frame(polite)[0] == OP_OK_LABELS
+
+            hostile = socket.create_connection(server.address, timeout=30.0)
+            hostile.sendall(b"XXXX" + bytes(64))
+            assert recv_frame(hostile)[0] == OP_ERR
+            with pytest.raises((EOFError, ConnectionResetError)):
+                recv_frame(hostile)  # the framing violation closed it
+            hostile.close()
+
+            # A malformed payload inside an intact frame is answered with
+            # OP_ERR and the connection lives on.
+            polite.sendall(encode_frame(OP_LABEL_BATCH, 1, b"not a batch"))
+            assert recv_frame(polite)[:2] == (OP_ERR, 1)
+            polite.sendall(
+                b"".join(label_frame(seq, r) for seq, r in enumerate(requests, 2))
+            )
+            answers = read_answers(polite, len(requests))
+            assert set(answers) == set(range(2, 2 + len(requests)))
+            assert all(op == OP_OK_LABELS for op, _ in answers.values())
+            polite.close()
+        finally:
+            server.stop()
+
+    def test_half_close_answers_every_accepted_request(self, net_store):
+        """EOF after pipelined frames: every accepted label is answered."""
+        store, streams = net_store
+        requests = make_requests(streams)
+        server = ShardServer(shard_spec(store), host=None).start()
+        ours, theirs = socket.socketpair()
+        serving = threading.Thread(target=server.serve_connection, args=(theirs,))
+        serving.start()
+        try:
+            ours.sendall(b"".join(label_frame(seq, r) for seq, r in enumerate(requests)))
+            ours.shutdown(socket.SHUT_WR)
+            answers = read_answers(ours, len(requests))
+            with pytest.raises(EOFError):
+                recv_frame(ours)  # closed only after the last answer
+            serving.join(timeout=60)
+            assert not serving.is_alive()
+            assert set(answers) == set(range(len(requests)))
+            assert all(op == OP_OK_LABELS for op, _ in answers.values())
+        finally:
+            ours.close()
+            server.stop()
+
+    def test_fleet_stop_completes_labels_in_flight(self, net_store):
+        store, streams = net_store
+        requests = make_requests(streams) * 2
+        fleet = ShardedFleetServer(store, num_workers=2, config=FAST_CONFIG).start()
+        try:
+            futures = [fleet_submit(fleet)(request) for request in requests]
+        finally:
+            fleet.stop()
+        responses = [future.result(timeout=0) for future in futures]
+        assert [response.request_id for response in responses] == [
+            request.request_id for request in requests
+        ]
+        assert all(
+            len(response.labels) == len(request.records)
+            for response, request in zip(responses, requests)
+        )
+        exits = [e for e in fleet.telemetry.events.snapshot() if e.kind == "shard-exit"]
+        assert len(exits) == 2
+        assert all(e.details_dict["pending_failed"] == 0 for e in exits)

@@ -382,11 +382,13 @@ class TestFleetTelemetry:
             assert summary[building_id]["count"] == requests_per_building
             assert summary[building_id]["p99_s"] > 0.0
 
-        # The wire path is instrumented on both sides of the pipe.
+        # The wire path is instrumented on both sides of the connection.
         assert snapshot.family("fleet_wire_encode_seconds") is not None
-        decode = snapshot.family("fleet_wire_decode_seconds")
+        decode = snapshot.family("fleet_frame_decode_seconds")
         assert decode is not None
-        assert sum(s.histogram.count for s in decode.samples) > 0
+        assert sum(
+            s.histogram.count for s in decode.samples if ("side", "server") in s.labels
+        ) > 0
 
         # Each worker announced itself on the merged fleet timeline.
         starts = [event for event in events if event.kind == "shard-start"]

@@ -16,8 +16,6 @@ from repro.telemetry import (
     BIN_LOWEST,
     BINS_PER_DECADE,
     NUM_BINS,
-    CapacityPlanner,
-    CapacityPoint,
     EventRing,
     LatencyHistogram,
     MetricsHTTPServer,
@@ -372,75 +370,6 @@ class TestEventRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventRing(capacity=0)
-
-
-def _point(num_workers, achieved_rps, p99_s, skew=0.0):
-    return CapacityPoint(
-        num_workers=num_workers,
-        arrival_rate_hz=100.0,
-        building_skew=skew,
-        num_requests=100,
-        num_records=1000,
-        offered_rps=achieved_rps * 1.1,
-        achieved_rps=achieved_rps,
-        p50_s=p99_s / 4,
-        p95_s=p99_s / 2,
-        p99_s=p99_s,
-        mean_latency_s=p99_s / 3,
-        num_rejections=0,
-        elapsed_s=1.0,
-    )
-
-
-class TestCapacityPlanner:
-    def test_plan_picks_smallest_sufficient_worker_count(self):
-        planner = CapacityPlanner(
-            [
-                _point(1, 400.0, 0.010),
-                _point(2, 900.0, 0.012),
-                _point(4, 1700.0, 0.015),
-            ]
-        )
-        plan = planner.plan(target_rps=800.0, p99_budget_s=0.05)
-        assert plan.feasible
-        assert plan.num_workers == 2
-        assert plan.capacity_rps == 900.0
-        assert plan.rps_margin == pytest.approx(900.0 / 800.0)
-
-    def test_points_over_budget_do_not_count_as_capacity(self):
-        planner = CapacityPlanner(
-            [_point(1, 400.0, 0.010), _point(2, 900.0, 0.200)]
-        )
-        assert planner.capacity_at(2, p99_budget_s=0.05) == 0.0
-        plan = planner.plan(target_rps=800.0, p99_budget_s=0.05)
-        assert not plan.feasible
-        assert plan.num_workers == 1  # the best configuration inside budget
-        assert "short of" in plan.reason
-
-    def test_plan_never_extrapolates_beyond_measurements(self):
-        plan = CapacityPlanner([_point(1, 400.0, 0.010)]).plan(
-            target_rps=4000.0, p99_budget_s=0.05
-        )
-        assert not plan.feasible and plan.capacity_rps == 400.0
-        empty_plan = CapacityPlanner().plan(target_rps=10.0, p99_budget_s=0.05)
-        assert not empty_plan.feasible and empty_plan.num_workers == 0
-
-    def test_plan_validates_inputs(self):
-        planner = CapacityPlanner([_point(1, 400.0, 0.010)])
-        with pytest.raises(ValueError):
-            planner.plan(target_rps=0.0, p99_budget_s=0.05)
-        with pytest.raises(ValueError):
-            planner.plan(target_rps=10.0, p99_budget_s=0.0)
-
-    def test_json_round_trip_preserves_the_grid_and_the_plan(self):
-        planner = CapacityPlanner(
-            [_point(1, 400.0, 0.010), _point(2, 900.0, 0.012, skew=0.7)]
-        )
-        restored = CapacityPlanner.from_json(planner.to_json())
-        assert restored.points == planner.points
-        original = planner.plan(target_rps=800.0, p99_budget_s=0.05)
-        recomputed = restored.plan(target_rps=800.0, p99_budget_s=0.05)
-        assert recomputed == original
 
 
 class TestTelemetryBundle:

@@ -163,6 +163,22 @@ class TestHostilePayloads:
         with pytest.raises(FrameError):
             decode_label_batch(b"\x00" * 64)
 
+    def test_mistyped_columns_rejected(self):
+        """A float string-length table or label column is a FrameError.
+
+        ``int()`` of a NaN length used to escape as a ``ValueError``.
+        """
+        nan_lengths = struct.pack(">BBI", 1, 1, 1) + b"\x00\x00"
+        nan_lengths += struct.pack("<d", float("nan")) + b"x" * 64
+        with pytest.raises(FrameError):
+            decode_labels(nan_lengths)
+        with pytest.raises(FrameError):
+            decode_label_batch(nan_lengths)
+        valid = encode_labels([OnlineLabel("r", 1, 0.5, 1.0)])
+        int_head, float_head = struct.pack(">BBI", 0, 1, 1), struct.pack(">BBI", 1, 1, 1)
+        with pytest.raises(FrameError):
+            decode_labels(valid.replace(int_head, float_head))
+
     def test_truncated_batch_rejected(self):
         payload = encode_label_batch("b", make_wire_batch())
         for cut in (1, len(payload) // 3, len(payload) - 1):
