@@ -40,6 +40,11 @@ Design points:
 * **Drain before close.**  A connection whose peer closes (or half-closes)
   is answered in full before it is closed, and :meth:`ShardServer.stop`
   drains every accepted label and flushes its response first.
+* **A peer that stops reading loses its connection, not the shard.**
+  Every connection's writes carry a send deadline (``SO_SNDTIMEO``): a
+  write that makes no progress for :data:`SEND_TIMEOUT_S` drops that
+  connection, its remaining answers are skipped, and the completion
+  threads, the inflight window and :meth:`ShardServer.stop` move on.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 import os
 import pickle
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +92,10 @@ PathLike = Union[str, Path]
 
 #: Fallback NACK hint before the server has completed any request.
 _DEFAULT_RETRY_AFTER_S = 0.05
+
+#: How long one response write may make no progress before its peer is
+#: taken to have stopped reading and the connection is dropped.
+SEND_TIMEOUT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -133,15 +143,28 @@ def _error_body(error: BaseException) -> bytes:
 
 
 class _Connection:
-    """One peer socket: serialized writes and a count of unanswered requests."""
+    """One peer socket: serialized writes and a count of unanswered requests.
 
-    __slots__ = ("sock", "write_lock", "idle", "unanswered")
+    A write that fails — the peer is gone, or it stopped reading past the
+    send deadline, possibly leaving part of a frame on the wire — marks
+    the connection ``broken`` and shuts the socket: later answers are
+    skipped (their requests still retire) and the reader sees EOF.
+    """
+
+    __slots__ = ("sock", "write_lock", "idle", "unanswered", "broken")
 
     def __init__(self, sock: socket.socket) -> None:
+        seconds = int(SEND_TIMEOUT_S)
+        sock.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_SNDTIMEO,
+            struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
+        )
         self.sock = sock
         self.write_lock = threading.Lock()
         self.idle = threading.Condition(threading.Lock())
         self.unanswered = 0
+        self.broken = False
 
     def accept(self) -> None:
         with self.idle:
@@ -150,11 +173,14 @@ class _Connection:
     def write(self, frame: bytes, answers: bool) -> bool:
         """Send one frame; ``answers`` retires one accepted request."""
         with self.write_lock:
-            try:
-                self.sock.sendall(frame)
-                sent = True
-            except OSError:
-                sent = False  # peer gone; its requests still retire
+            sent = False
+            if not self.broken:
+                try:
+                    self.sock.sendall(frame)
+                    sent = True
+                except OSError:
+                    self.broken = True
+                    self.shutdown()
         if answers:
             with self.idle:
                 self.unanswered -= 1
@@ -407,6 +433,8 @@ class ShardServer:
                     # Peer closed — cleanly between frames or mid-frame;
                     # either way this connection is done, the server lives.
                     break
+                if connection.broken:
+                    break  # dropped by a failed write; admit nothing more
                 self._bytes_received.inc(HEADER_SIZE + len(payload))
                 self._dispatch(connection, op, seq, payload)
             connection.wait_answered()
@@ -564,7 +592,18 @@ def serve_local_shard(sock: socket.socket, spec: ShardSpec, shard_index: int) ->
     listener-less :class:`ShardServer` until the dispatcher half-closes its
     end, then answers what is left and exits.
     """
-    server = ShardServer(spec, host=None, shard_index=shard_index).start()
+    try:
+        server = ShardServer(spec, host=None, shard_index=shard_index).start()
+    except Exception as error:
+        # Answer the dispatcher's first frame — its startup ping — with the
+        # cause, so its start() fails with this error rather than a bare EOF.
+        try:
+            _, seq, _ = recv_frame(sock)
+            sock.sendall(encode_frame(OP_ERR, seq, _error_body(error)))
+        except (EOFError, OSError, FrameError):
+            pass
+        sock.close()
+        raise
     try:
         server.serve_connection(sock)
     finally:

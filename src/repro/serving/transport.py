@@ -276,14 +276,6 @@ _WIRE_DTYPES: Tuple[np.dtype, ...] = (
     np.dtype("<u4"),
 )
 _CODE_BY_KIND = {(dtype.kind, dtype.itemsize): code for code, dtype in enumerate(_WIRE_DTYPES)}
-_CODE_I8, _CODE_F8, _CODE_U4 = range(3)
-
-#: ``struct`` format character of each wire dtype code, for small 1-D
-#: columns packed straight from (and into) Python lists.
-_WIRE_FORMATS = ("q", "d", "I")
-
-#: Array segment header of a 1-D column: dtype code, ndim (1), length.
-_COLUMN_HEAD = struct.Struct(">BBI")
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -360,37 +352,6 @@ def unpack_array(payload: bytes, offset: int) -> Tuple[np.ndarray, int]:
     return array.reshape(shape), offset + nbytes
 
 
-def _pack_column(writer: _PayloadWriter, code: int, values: Sequence) -> None:
-    """Append a 1-D list of numbers: the bytes :func:`pack_array` would write.
-
-    Skips building an array; for the short per-request columns (string
-    length tables, label columns) the numpy round trip costs more than
-    the data.
-    """
-    writer.put(_COLUMN_HEAD.pack(code, 1, len(values)))
-    writer.pad()
-    writer.put(struct.pack(f"<{len(values)}{_WIRE_FORMATS[code]}", *values))
-
-
-def _unpack_column(payload: bytes, offset: int, code: int) -> Tuple[list, int]:
-    """Decode a 1-D segment of wire dtype ``code`` into a Python list."""
-    if offset + _COLUMN_HEAD.size > len(payload):
-        raise FrameError("truncated array header")
-    found, ndim, count = _COLUMN_HEAD.unpack_from(payload, offset)
-    if found != code or ndim != 1:
-        raise FrameError(
-            f"expected a 1-D {_WIRE_DTYPES[code]} column, got code {found} rank {ndim}"
-        )
-    offset = _aligned(offset + _COLUMN_HEAD.size)
-    nbytes = count * _WIRE_DTYPES[code].itemsize
-    if offset + nbytes > len(payload):
-        raise FrameError(
-            f"array of {nbytes} bytes overruns payload of {len(payload)} bytes"
-        )
-    values = struct.unpack_from(f"<{count}{_WIRE_FORMATS[code]}", payload, offset)
-    return list(values), offset + nbytes
-
-
 def pack_strings(writer: _PayloadWriter, strings: Sequence[Optional[str]]) -> None:
     """Append one string column: u32 length table plus one UTF-8 blob.
 
@@ -398,18 +359,26 @@ def pack_strings(writer: _PayloadWriter, strings: Sequence[Optional[str]]) -> No
     :data:`_NONE_LENGTH` sentinel in the length table.
     """
     encoded = [None if s is None else s.encode("utf-8") for s in strings]
-    _pack_column(writer, _CODE_U4, [_NONE_LENGTH if e is None else len(e) for e in encoded])
+    lengths = np.fromiter(
+        (_NONE_LENGTH if e is None else len(e) for e in encoded),
+        dtype="<u4",
+        count=len(encoded),
+    )
+    pack_array(writer, lengths)
     writer.put(b"".join(e for e in encoded if e is not None))
 
 
 def unpack_strings(payload: bytes, offset: int) -> Tuple[List[Optional[str]], int]:
     """Decode one string column; returns the list and the next offset."""
-    lengths, offset = _unpack_column(payload, offset, _CODE_U4)
+    lengths, offset = unpack_array(payload, offset)
+    if lengths.ndim != 1 or lengths.dtype.kind != "u":
+        raise FrameError("string length table must be a 1-D u4 column")
     strings: List[Optional[str]] = []
     for length in lengths:
         if length == _NONE_LENGTH:
             strings.append(None)
             continue
+        length = int(length)
         if offset + length > len(payload):
             raise FrameError("string blob overruns payload")
         try:
@@ -513,9 +482,20 @@ def encode_labels(labels: Sequence[OnlineLabel]) -> bytes:
     writer = _PayloadWriter()
     pack_strings(writer, [label.record_id for label in labels])
     writer.pad()
-    _pack_column(writer, _CODE_I8, [label.floor for label in labels])
-    _pack_column(writer, _CODE_F8, [label.confidence for label in labels])
-    _pack_column(writer, _CODE_F8, [label.known_mac_fraction for label in labels])
+    pack_array(
+        writer,
+        np.fromiter((label.floor for label in labels), dtype="<i8", count=len(labels)),
+    )
+    pack_array(
+        writer,
+        np.fromiter((label.confidence for label in labels), dtype="<f8", count=len(labels)),
+    )
+    pack_array(
+        writer,
+        np.fromiter(
+            (label.known_mac_fraction for label in labels), dtype="<f8", count=len(labels)
+        ),
+    )
     return writer.getvalue()
 
 
@@ -524,24 +504,24 @@ def decode_labels(payload: bytes) -> Tuple[OnlineLabel, ...]:
     offset = 0
     record_ids, offset = unpack_strings(payload, offset)
     offset = _aligned(offset)
-    floors, offset = _unpack_column(payload, offset, _CODE_I8)
-    confidences, offset = _unpack_column(payload, offset, _CODE_F8)
-    fractions, offset = _unpack_column(payload, offset, _CODE_F8)
+    floors, offset = unpack_array(payload, offset)
+    confidences, offset = unpack_array(payload, offset)
+    fractions, offset = unpack_array(payload, offset)
     count = len(record_ids)
     if any(record_id is None for record_id in record_ids):
         raise FrameError("label record ids cannot be null")
-    if len(floors) != count or len(confidences) != count or len(fractions) != count:
+    if floors.shape != (count,) or confidences.shape != (count,) or fractions.shape != (count,):
         raise FrameError("label columns disagree on record count")
+    if floors.dtype.kind != "i" or confidences.dtype.kind != "f" or fractions.dtype.kind != "f":
+        raise FrameError("label columns must be i8 floors and f8 scores")
     return tuple(
         OnlineLabel(
-            record_id=record_id,
-            floor=floor,
-            confidence=confidence,
-            known_mac_fraction=fraction,
+            record_id=record_ids[i],
+            floor=int(floors[i]),
+            confidence=float(confidences[i]),
+            known_mac_fraction=float(fractions[i]),
         )
-        for record_id, floor, confidence, fraction in zip(
-            record_ids, floors, confidences, fractions
-        )
+        for i in range(count)
     )
 
 

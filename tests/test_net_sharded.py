@@ -31,6 +31,7 @@ from repro.serving import (
     ShardServer,
     ShardSpec,
 )
+from repro.serving import netserver
 from repro.serving.sharded import ConsistentHashRing, ShardDownError, stable_hash64
 from repro.serving.transport import (
     OP_ERR,
@@ -401,6 +402,17 @@ class TestServerRobustness:
         finally:
             server.stop()
 
+    def test_worker_start_failure_reaches_fleet_start(self, net_store):
+        """A local worker that cannot build its stack fails start() with
+        its own error, not a bare "worker exited"."""
+        store, _ = net_store
+        fleet = ShardedFleetServer(
+            store, num_workers=1, inner_workers=0, config=FAST_CONFIG
+        )
+        with pytest.raises(ValueError, match="num_workers must be >= 1"):
+            fleet.start()
+        assert not fleet.running
+
 
 def label_frame(seq, request):
     """One pickled-record label frame, as the dispatcher sends it."""
@@ -545,3 +557,52 @@ class TestThreadedShardServer:
         exits = [e for e in fleet.telemetry.events.snapshot() if e.kind == "shard-exit"]
         assert len(exits) == 2
         assert all(e.details_dict["pending_failed"] == 0 for e in exits)
+
+    def test_peer_that_stops_reading_is_dropped_not_the_shard(
+        self, net_store, monkeypatch
+    ):
+        """A client that pipelines labels and never reads its answers.
+
+        Its responses fill the socket until a write misses the send
+        deadline; the server then drops that connection alone.  Another
+        client still gets labels, and stop() returns promptly.
+        """
+        monkeypatch.setattr(netserver, "SEND_TIMEOUT_S", 0.5)
+        store, streams = net_store
+        request = make_requests(streams, chunk=8)[0]
+        frame = label_frame(0, request)
+        server = ShardServer(shard_spec(store)).start()
+        rude = socket.socket()
+        rude.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        rude.connect(server.address)
+        dropped = threading.Event()
+
+        def flood():
+            try:
+                while True:
+                    rude.sendall(frame * 50)
+            except OSError:
+                dropped.set()
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        try:
+            assert dropped.wait(timeout=60), "the non-reading peer was never dropped"
+            polite = socket.create_connection(server.address, timeout=10.0)
+            deadline = time.monotonic() + 30
+            while True:
+                polite.sendall(label_frame(1, request))
+                op, seq, payload = recv_frame(polite)
+                assert seq == 1 and op in (OP_OK_LABELS, OP_NACK)
+                if op == OP_OK_LABELS or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert op == OP_OK_LABELS
+            polite.close()
+        finally:
+            rude.close()
+            stopping = threading.Thread(target=server.stop, daemon=True)
+            stopping.start()
+            stopping.join(timeout=30)
+        assert not stopping.is_alive(), "stop() hung behind the non-reading peer"
+        assert server._inflight == 0
