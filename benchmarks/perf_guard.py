@@ -9,8 +9,8 @@ exits non-zero when any fresh value falls more than ``--tolerance`` (default
 Guarded metrics are deliberately **relative** (speedups and ratios between
 two code paths measured on the same host in the same run), never absolute
 records-per-second: absolute throughput varies wildly across laptops and CI
-runners, but "the batch path is ~4x the record path" or "4 sharded workers
-beat 1 by ≥2x" is a property of the *code*, and it is exactly what a
+runners, but "a refresh beats a refit several times over" or "4 sharded
+workers beat 1 by ≥2x" is a property of the *code*, and it is exactly what a
 performance regression erodes.  Rising numbers never fail the guard.
 
 Usage::
@@ -73,8 +73,11 @@ GUARDED_METRICS: Sequence[GuardedMetric] = (
     # slots vs the same worker holding all 8 hot, on the same trace.  Falls
     # when an artifact load (the miss path) gets dearer.
     GuardedMetric("BENCH_serving.json", "thrash_vs_hot_1w", ("thrash_vs_hot_1w",)),
-    # Columnar RecordBatch path over the per-record path.
-    GuardedMetric("BENCH_batching.json", "batch_vs_record_speedup", ("speedup",)),
+    # Record-list labeling next to a prebuilt RecordBatch: both feed one
+    # embedding kernel, so this falls if the record-list columniser slows.
+    GuardedMetric(
+        "BENCH_batching.json", "record_vs_batch_ratio", ("record_vs_batch_ratio",)
+    ),
     # Incremental refresh over a cold refit, and its label stability.
     GuardedMetric("BENCH_refresh.json", "refresh_vs_refit_speedup", ("speedup",)),
     GuardedMetric("BENCH_refresh.json", "refresh_label_stability", ("label_stability",)),

@@ -1,16 +1,18 @@
-"""S2 — columnar batching micro-benchmark: RecordBatch vs SignalRecord labeling.
+"""S2 — labeling micro-benchmark: the record-list path against RecordBatch.
 
-The columnar :class:`~repro.signals.batch.RecordBatch` exists so the online
-labeling hot path never touches per-record Python objects: interned MAC ids
-are translated to encoder rows with one ``np.take`` per batch, and the
-aggregation scatter runs cache-blocked through ``np.bincount``.  This
-benchmark quantifies the claim on one fitted building:
+``FrozenEncoder`` has one embedding kernel.  ``embed_batch`` feeds it a
+columnar :class:`~repro.signals.batch.RecordBatch` (MAC ids translated to
+encoder rows with one ``np.take``); ``embed_records`` columnarises a
+``Sequence[SignalRecord]`` into the same kernel with dict probes at C speed.
+This benchmark labels the same traffic both ways on one fitted building:
 
-* the batch path must label the *same* traffic at least ``MIN_SPEEDUP``
-  times faster than the ``Sequence[SignalRecord]`` path, and
 * both paths must produce byte-identical labels, confidences, and
-  known-MAC fractions (the batch path is a pure speedup, not an
-  approximation).
+  known-MAC fractions, and bit-identical embeddings underneath;
+* ``record_vs_batch_ratio`` — record-path records/s over batch-path
+  records/s in the same run — shows what the record-list columniser costs
+  next to a prebuilt batch.  It is reported, not asserted here (a
+  wall-clock ratio flakes on a busy 2-core host); ``perf_guard.py`` holds
+  it against its committed floor.
 
 Measured numbers are merged into ``BENCH_batching.json`` at the repository
 root.
@@ -30,9 +32,6 @@ from repro.signals.record import SignalRecord
 from repro.simulate import generate_single_building
 
 BENCH_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_batching.json"
-
-#: Required advantage of columnar labeling over the per-record path.
-MIN_SPEEDUP = 3.0
 
 #: How many times the held-out records are replicated into the traffic set
 #: (larger batches amortise per-call overhead and match fleet-sized bursts).
@@ -67,7 +66,7 @@ def test_batch_vs_record_labeling_throughput():
     ]
     batch = RecordBatch.from_records(records)
 
-    # Correctness first: the batch path must be a pure speedup — identical
+    # Correctness first: both entry points must agree exactly — identical
     # labels, confidences, and known-MAC fractions, and bit-identical
     # embeddings underneath.
     record_labels = labeler.label(records)
@@ -82,7 +81,7 @@ def test_batch_vs_record_labeling_throughput():
     batch_seconds = _best_seconds(labeler.label, batch)
     record_rps = len(records) / record_seconds
     batch_rps = len(records) / batch_seconds
-    speedup = record_seconds / batch_seconds
+    ratio = batch_seconds / record_seconds
 
     payload = {}
     if BENCH_OUTPUT.is_file():
@@ -93,16 +92,13 @@ def test_batch_vs_record_labeling_throughput():
             "num_readings": batch.num_readings,
             "record_path_records_per_second": record_rps,
             "batch_path_records_per_second": batch_rps,
-            "speedup": speedup,
+            "record_vs_batch_ratio": ratio,
             "outputs_identical": True,
         }
     )
     BENCH_OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print(f"\nColumnar batching — online labeling of {len(records)} records "
-          f"({batch.num_readings} readings):")
+    print(f"\nOnline labeling of {len(records)} records ({batch.num_readings} readings):")
     print(f"  SignalRecord path: {record_rps:12.0f} records/s")
     print(f"  RecordBatch path : {batch_rps:12.0f} records/s")
-    print(f"  speedup: {speedup:8.2f}x   (written to {BENCH_OUTPUT.name})")
-
-    assert speedup >= MIN_SPEEDUP
+    print(f"  record/batch ratio: {ratio:6.2f}   (written to {BENCH_OUTPUT.name})")

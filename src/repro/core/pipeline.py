@@ -157,6 +157,10 @@ class FittedFisOne:
         )
 
     @cached_property
+    def _empty_clusters(self) -> np.ndarray:
+        return np.flatnonzero(self._cluster_sizes == 0)
+
+    @cached_property
     def _index_by_record_id(self) -> Dict[str, int]:
         return {record_id: i for i, record_id in enumerate(self.record_ids)}
 
@@ -243,31 +247,18 @@ class FittedFisOne:
         those fall back to the floor of the largest cluster.  An empty batch
         returns three empty arrays.
         """
-        if len(records) == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
         embeddings, known_fraction = self.encoder.embed_records(records)
         return self._floors_from_embeddings(embeddings, known_fraction)
 
     def online_floors_batch(
         self, batch: RecordBatch
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch fast path of :meth:`online_floors` over a columnar batch.
+        """:meth:`online_floors` over a columnar batch, bit-identically.
 
         Embeds through :meth:`~repro.gnn.frozen.FrozenEncoder.embed_batch`
-        (one vocabulary-table ``np.take`` per batch instead of per-reading
-        dict probes); the centroid scoring is shared with the record path,
-        so labels and confidences are bit-identical on the same inputs.
+        (one vocabulary-table ``np.take`` per batch) into the same encoder
+        kernel and centroid step as the record-list path.
         """
-        if len(batch) == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
         embeddings, known_fraction = self.encoder.embed_batch(batch)
         return self._floors_from_embeddings(embeddings, known_fraction)
 
@@ -275,25 +266,23 @@ class FittedFisOne:
         self, embeddings: np.ndarray, known_fraction: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest-centroid floors + softmax confidences for embedded rows."""
-        num_records = embeddings.shape[0]
-        sizes = self._cluster_sizes
         similarities = embeddings @ self.centroids.T
         # An empty cluster has no centroid to be near; bar it from winning
         # (its zero row would otherwise beat all-negative similarities).
-        similarities[:, sizes == 0] = -np.inf
+        empty = self._empty_clusters
+        if empty.size:
+            similarities[:, empty] = -np.inf
+        clusters = similarities.argmax(axis=1)
         scaled = similarities / CONFIDENCE_TEMPERATURE
         scaled -= scaled.max(axis=1, keepdims=True)
-        probabilities = np.exp(scaled)
-        probabilities /= probabilities.sum(axis=1, keepdims=True)
-        clusters = np.argmax(similarities, axis=1)
-        confidences = probabilities[np.arange(num_records), clusters]
-
-        blind = known_fraction == 0.0
-        if np.any(blind):
-            clusters[blind] = int(np.argmax(sizes))
+        # The winner's softmax probability: its shifted score is exactly 0,
+        # so its numerator exp(0) is exactly 1.
+        confidences = 1.0 / np.exp(scaled).sum(axis=1)
+        if not known_fraction.all():
+            blind = known_fraction == 0.0
+            clusters[blind] = int(np.argmax(self._cluster_sizes))
             confidences[blind] = 0.0
-        floors = self._floor_of_cluster[clusters]
-        return floors, confidences.astype(np.float64), known_fraction
+        return self._floor_of_cluster[clusters], confidences, known_fraction
 
     def predict(self, dataset: SignalDataset) -> np.ndarray:
         """Predicted floor of every record of ``dataset``, in dataset order.

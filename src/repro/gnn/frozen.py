@@ -33,6 +33,7 @@ embedding so callers can gauge how much signal backed it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -210,174 +211,153 @@ class FrozenEncoder:
         gets a zero embedding and fraction ``0.0`` — callers should treat
         such rows as unreliable (the pipeline maps them to the largest
         cluster with confidence 0).
+
+        The records are columnarised into the flat per-reading arrays
+        :meth:`embed_batch` feeds the same kernel: one ``np.fromiter`` over
+        dict probes of every MAC (``-1`` for an unknown one, so unknown MACs
+        grow no table), one over every RSS value, and the per-record
+        reading counts — three C-speed passes, no per-reading Python loop.
         """
-        num_records = len(records)
-        if num_records == 0:
-            return self._empty_embedding()
-        rows: List[int] = []
-        owners: List[int] = []
-        raw_weights: List[float] = []
-        known_fraction = np.zeros(num_records, dtype=np.float64)
-        for index, record in enumerate(records):
-            known = 0
-            for mac, rss in record.readings.items():
-                row = self._mac_row.get(mac)
-                if row is None:
-                    continue
-                known += 1
-                rows.append(row)
-                owners.append(index)
-                # A reading at exactly the validity floor (-120 dBm with the
-                # default offset) would get weight 0, which the strict
-                # training-graph path rejects; online we clamp instead of
-                # failing the whole batch over one barely-audible AP.  The
-                # weight is *squared* because the trained pipeline composes
-                # w-proportional neighbour sampling with w-proportional
-                # aggregation coefficients: in the full-neighbourhood limit
-                # this inference path replicates, neighbour j's effective
-                # coefficient is proportional to w_j^2.  Squared by plain
-                # multiplication (one correctly-rounded IEEE op), not
-                # ``** 2`` — libm pow and numpy's vectorised pow can differ
-                # in the last ulp, and the batch path must reproduce this
-                # weight bit-exactly.
-                if self.attention:
-                    clamped = max(float(rss) + self.rss_offset_db, 1e-6)
-                    raw_weights.append(clamped * clamped)
-                else:
-                    raw_weights.append(1.0)
-            known_fraction[index] = known / len(record.readings)
-        row_index = np.asarray(rows, dtype=np.int64)
-        owner_index = np.asarray(owners, dtype=np.int64)
-        edge_weights = np.asarray(raw_weights, dtype=np.float64)
+        readings = [record.readings for record in records]
+        lengths = list(map(len, readings))
+        total = sum(lengths)
+        rows = np.fromiter(
+            map(self._mac_row.get, chain.from_iterable(readings), repeat(-1)),
+            dtype=np.int64,
+            count=total,
+        )
+        rss = np.fromiter(
+            chain.from_iterable(map(dict.values, readings)),
+            dtype=np.float64,
+            count=total,
+        )
+        return self._embed_columns(rows, rss, np.array(lengths, dtype=np.int64))
 
-        # Aggregation coefficients over each record's full neighbourhood:
-        # RSS attention, or a uniform mean for no-attention models.
-        weight_sums = np.zeros(num_records, dtype=np.float64)
-        np.add.at(weight_sums, owner_index, edge_weights)
-        coefficients = edge_weights / weight_sums[owner_index]
+    def embed_batch(self, batch: RecordBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """Embed a columnar batch; bit-identical to :meth:`embed_records`.
 
-        # Cold-start records carry no learned self representation (see module
-        # docstring): the self path starts at zero and the observed-MAC
-        # aggregation supplies all the signal.
-        hidden = np.zeros((num_records, self.input_dim), dtype=np.float64)
-        for hop in range(1, self.num_hops + 1):
-            neighbor_hidden = self.mac_hidden[hop - 1]
-            aggregated = np.zeros((num_records, neighbor_hidden.shape[1]), dtype=np.float64)
-            np.add.at(
-                aggregated,
-                owner_index,
-                coefficients[:, None] * neighbor_hidden[row_index],
-            )
-            concatenated = np.concatenate([hidden, aggregated], axis=1)
-            activated = self._activation.forward(concatenated @ self.weights[hop - 1])
-            norms = np.maximum(np.linalg.norm(activated, axis=1, keepdims=True), 1e-12)
-            hidden = activated / norms
-        return hidden, known_fraction
+        The batch's interned MAC ids are translated to encoder rows with a
+        single ``np.take`` against a cached per-vocabulary translation table
+        (extended in place as the append-only vocabulary grows), then fed to
+        the same kernel as the record path.
+        """
+        rows = self._vocab_rows(batch.vocab)[batch.mac_ids]
+        return self._embed_columns(rows, batch.rss, batch.reading_counts, batch.indptr)
 
-    #: Target byte size of the per-chunk contribution matrix in
-    #: :meth:`embed_batch`.  Chunks this size keep every temporary
+    #: Target byte size of the per-chunk contribution matrix of the
+    #: embedding kernel.  Chunks this size keep every temporary
     #: cache-resident, which is both faster and far less sensitive to memory
     #: bandwidth contention than materialising one (readings x widths)
     #: matrix for the whole batch.
     _CHUNK_BYTES = 1 << 20
 
-    def embed_batch(self, batch: RecordBatch) -> Tuple[np.ndarray, np.ndarray]:
-        """Batch fast path of :meth:`embed_records` over a columnar batch.
+    def _embed_columns(
+        self,
+        rows: np.ndarray,
+        rss: np.ndarray,
+        counts: np.ndarray,
+        indptr: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Embed flat per-reading columns, in cache-sized record chunks.
 
-        Three things make this path fast while keeping its output
-        bit-identical to the record path on the same inputs (asserted by
-        the property suite):
-
-        * the batch's interned MAC ids are translated to encoder rows with a
-          single ``np.take`` against a cached per-vocabulary translation
-          table (extended in place as the append-only vocabulary grows) —
-          no per-reading dict probes;
-        * every hop aggregates with the same (owner, row, coefficient)
-          triples — only the neighbour features differ — so all hops share
-          one gather and one scatter over the horizontally stacked
-          ``mac_hidden`` matrices; the scatter is a single ``np.bincount``
-          over a flattened (owner, column) composite index, whose row-major
-          order adds each record's readings left-to-right, the same
-          sequence of float additions ``np.add.at`` performs on the record
-          path (bit-identical sums, several times faster);
-        * records are processed in cache-sized chunks (records are
-          independent, so chunking cannot change any per-record result).
+        ``rows`` holds each reading's encoder row (``-1`` = unknown MAC),
+        ``rss`` its value and ``counts`` the readings per record, records
+        back to back.  Records are independent, so chunking changes no
+        per-record result; a batch that fits in one chunk (every
+        request-sized one) makes a single kernel call.
         """
-        num_records = len(batch)
-        if num_records == 0:
-            return self._empty_embedding()
-        rows_all = self._vocab_rows(batch.vocab)[batch.mac_ids]
-        counts = batch.reading_counts
-        indptr = batch.indptr
-        stacked = self._stacked_mac_hidden()
-        total_width = stacked.shape[1]
-
+        readings_per_chunk = max(
+            256, self._CHUNK_BYTES // (8 * self._stacked_mac_hidden().shape[1])
+        )
+        if rows.shape[0] <= readings_per_chunk:
+            return self._embed_chunk(rows, rss, counts)
+        if indptr is None:
+            indptr = np.concatenate([[0], np.cumsum(counts)])
+        num_records = counts.shape[0]
         embeddings = np.empty((num_records, self.embedding_dim), dtype=np.float64)
         known_fraction = np.empty(num_records, dtype=np.float64)
-        # Chunk boundaries in record space, aligned so each chunk's flat
-        # contribution matrix stays around _CHUNK_BYTES.
-        readings_per_chunk = max(256, self._CHUNK_BYTES // (8 * total_width))
         start = 0
         while start < num_records:
             stop = int(
                 np.searchsorted(indptr, indptr[start] + readings_per_chunk, side="left")
             )
-            stop = min(max(stop, start + 1), num_records)
+            # No chunk of one record out of many: numpy runs a one-row
+            # matmul as a matrix-vector product, whose last bits can differ
+            # from the same row inside a matrix product.
+            stop = max(stop, start + 2)
+            if stop >= num_records - 1:
+                stop = num_records
             flat = slice(int(indptr[start]), int(indptr[stop]))
-            rows_chunk = rows_all[flat]
-            known = rows_chunk >= 0
-            chunk_records = stop - start
-            owners_all = np.repeat(
-                np.arange(chunk_records, dtype=np.int64), counts[start:stop]
+            embeddings[start:stop], known_fraction[start:stop] = self._embed_chunk(
+                rows[flat], rss[flat], counts[start:stop]
             )
-            owner_index = owners_all[known]
-            row_index = rows_chunk[known]
-            if self.attention:
-                # Same per-edge weight as the record path: clamp, then
-                # square via np.square — a single multiply, bit-identical
-                # to the record path's ``clamped * clamped`` (see there).
-                edge_weights = np.square(
-                    np.maximum(batch.rss[flat][known] + self.rss_offset_db, 1e-6)
-                )
-            else:
-                edge_weights = np.ones(owner_index.size, dtype=np.float64)
-            known_counts = np.bincount(owner_index, minlength=chunk_records)
-            known_fraction[start:stop] = known_counts / counts[start:stop]
-
-            weight_sums = np.bincount(
-                owner_index, weights=edge_weights, minlength=chunk_records
-            )
-            coefficients = edge_weights / weight_sums[owner_index]
-
-            contributions = np.take(stacked, row_index, axis=0)
-            contributions *= coefficients[:, None]
-            composite = (
-                owner_index[:, None] * total_width
-                + np.arange(total_width, dtype=np.int64)
-            ).ravel()
-            aggregated_all = np.bincount(
-                composite,
-                weights=contributions.ravel(),
-                minlength=chunk_records * total_width,
-            ).reshape(chunk_records, total_width)
-
-            hidden = np.zeros((chunk_records, self.input_dim), dtype=np.float64)
-            offset = 0
-            for hop in range(1, self.num_hops + 1):
-                width = self.mac_hidden[hop - 1].shape[1]
-                aggregated = aggregated_all[:, offset : offset + width]
-                offset += width
-                concatenated = np.concatenate([hidden, aggregated], axis=1)
-                activated = self._activation.forward(
-                    concatenated @ self.weights[hop - 1]
-                )
-                norms = np.maximum(
-                    np.linalg.norm(activated, axis=1, keepdims=True), 1e-12
-                )
-                hidden = activated / norms
-            embeddings[start:stop] = hidden
             start = stop
         return embeddings, known_fraction
+
+    def _embed_chunk(
+        self, rows: np.ndarray, rss: np.ndarray, counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The embedding kernel: one chunk of records through the recurrence.
+
+        Unknown MACs (``rows == -1``) are skipped.  Every hop aggregates with
+        the same (owner, row, coefficient) triples — only the neighbour
+        features differ — so all hops share one gather and one scatter over
+        the horizontally stacked ``mac_hidden`` matrices.  The scatter is a
+        single ``np.bincount`` over a flattened (owner, column) composite
+        index, whose row-major order adds each record's readings
+        left-to-right.
+        """
+        num_records = counts.shape[0]
+        stacked = self._stacked_mac_hidden()
+        total_width = stacked.shape[1]
+        known = rows >= 0
+        owner_index = np.arange(num_records, dtype=np.int64).repeat(counts)[known]
+        row_index = rows[known]
+        if self.attention:
+            # A reading at exactly the validity floor (-120 dBm with the
+            # default offset) would get weight 0, which the strict
+            # training-graph path rejects; online we clamp instead of
+            # failing the whole batch over one barely-audible AP.  The
+            # weight is *squared* because the trained pipeline composes
+            # w-proportional neighbour sampling with w-proportional
+            # aggregation coefficients: in the full-neighbourhood limit this
+            # inference path replicates, neighbour j's effective coefficient
+            # is proportional to w_j^2.
+            edge_weights = np.square(np.maximum(rss[known] + self.rss_offset_db, 1e-6))
+        else:
+            # No-attention models aggregate neighbours with a uniform mean.
+            edge_weights = np.ones(owner_index.size, dtype=np.float64)
+        known_fraction = np.bincount(owner_index, minlength=num_records) / counts
+        weight_sums = np.bincount(owner_index, weights=edge_weights, minlength=num_records)
+        coefficients = edge_weights / weight_sums[owner_index]
+
+        contributions = stacked.take(row_index, axis=0)
+        contributions *= coefficients[:, None]
+        composite = (
+            owner_index[:, None] * total_width + np.arange(total_width, dtype=np.int64)
+        ).ravel()
+        aggregated_all = np.bincount(
+            composite,
+            weights=contributions.ravel(),
+            minlength=num_records * total_width,
+        ).reshape(num_records, total_width)
+
+        # Cold-start records carry no learned self representation (see module
+        # docstring): the self path starts at zero and the observed-MAC
+        # aggregation supplies all the signal.
+        hidden = np.zeros((num_records, self.input_dim), dtype=np.float64)
+        offset = 0
+        for hop in range(self.num_hops):
+            width = self.mac_hidden[hop].shape[1]
+            aggregated = aggregated_all[:, offset : offset + width]
+            offset += width
+            concatenated = np.concatenate([hidden, aggregated], axis=1)
+            activated = self._activation.forward(concatenated @ self.weights[hop])
+            # The row L2 norm exactly as np.linalg.norm computes it, minus
+            # its Python dispatch.
+            norms = np.sqrt(np.add.reduce(activated * activated, axis=1, keepdims=True))
+            hidden = activated / np.maximum(norms, 1e-12)
+        return hidden, known_fraction
 
     def _stacked_mac_hidden(self) -> np.ndarray:
         """All per-hop MAC representations side by side (cached).
@@ -430,12 +410,6 @@ class FrozenEncoder:
             table = np.concatenate([table, extension])
             self._batch_translation = (vocab, table)
         return table
-
-    def _empty_embedding(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            np.empty((0, self.embedding_dim), dtype=np.float64),
-            np.empty(0, dtype=np.float64),
-        )
 
     def embed_record(self, record: SignalRecord) -> np.ndarray:
         """Embed a single record (convenience wrapper)."""

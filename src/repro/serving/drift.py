@@ -288,13 +288,25 @@ class DriftMonitor:
 
     def observe(self, labels: Sequence[OnlineLabel]) -> None:
         """Fold a batch of online labels into the rolling window."""
-        if not labels:
+        self.observe_columns(
+            [float(label.known_mac_fraction) for label in labels],
+            [float(label.confidence) for label in labels],
+        )
+
+    def observe_columns(
+        self, known_fractions: Sequence[float], confidences: Sequence[float]
+    ) -> None:
+        """Fold aligned known-MAC fractions and confidences into the window.
+
+        The labeler's hot path: it already holds both columns as native
+        float lists, so the deques extend from them in C under one lock.
+        """
+        if not known_fractions:
             return
         with self._lock:
-            for label in labels:
-                self._known.append(float(label.known_mac_fraction))
-                self._confidence.append(float(label.confidence))
-            self._num_observed += len(labels)
+            self._known.extend(known_fractions)
+            self._confidence.extend(confidences)
+            self._num_observed += len(known_fractions)
 
     def reset(self) -> None:
         """Clear the window — called after a refresh, so the refreshed

@@ -93,8 +93,9 @@ PathLike = Union[str, Path]
 #: Fallback NACK hint before the server has completed any request.
 _DEFAULT_RETRY_AFTER_S = 0.05
 
-#: How long one response write may make no progress before its peer is
-#: taken to have stopped reading and the connection is dropped.
+#: How long one frame write may make no progress before its peer is taken
+#: to have stopped reading and the connection is dropped.  Applies to the
+#: shard's response writes and to the dispatcher's request writes.
 SEND_TIMEOUT_S = 5.0
 
 
@@ -142,6 +143,17 @@ def _error_body(error: BaseException) -> bytes:
     return pickle.dumps(_picklable(error))
 
 
+def set_send_timeout(sock: socket.socket) -> None:
+    """Make a write on ``sock`` that makes no progress for
+    :data:`SEND_TIMEOUT_S` fail with ``OSError`` instead of blocking."""
+    seconds = int(SEND_TIMEOUT_S)
+    sock.setsockopt(
+        socket.SOL_SOCKET,
+        socket.SO_SNDTIMEO,
+        struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
+    )
+
+
 class _Connection:
     """One peer socket: serialized writes and a count of unanswered requests.
 
@@ -154,12 +166,7 @@ class _Connection:
     __slots__ = ("sock", "write_lock", "idle", "unanswered", "broken")
 
     def __init__(self, sock: socket.socket) -> None:
-        seconds = int(SEND_TIMEOUT_S)
-        sock.setsockopt(
-            socket.SOL_SOCKET,
-            socket.SO_SNDTIMEO,
-            struct.pack("ll", seconds, int((SEND_TIMEOUT_S - seconds) * 1e6)),
-        )
+        set_send_timeout(sock)
         self.sock = sock
         self.write_lock = threading.Lock()
         self.idle = threading.Condition(threading.Lock())

@@ -160,17 +160,15 @@ class OnlineFloorLabeler:
         rather than per label on the instrumentation path.
         """
         known_list = known_fractions.tolist()
+        confidence_list = confidences.tolist()
         labels = [
             OnlineLabel(str(record_id), floor, confidence, known)
             for record_id, floor, confidence, known in zip(
-                record_ids,
-                floors.tolist(),
-                confidences.tolist(),
-                known_list,
+                record_ids, floors.tolist(), confidence_list, known_list
             )
         ]
         if self.monitor is not None:
-            self.monitor.observe(labels)
+            self.monitor.observe_columns(known_list, confidence_list)
         return labels, known_list.count(0.0)
 
     def label_one(self, record: SignalRecord) -> OnlineLabel:

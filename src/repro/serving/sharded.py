@@ -63,7 +63,7 @@ from repro.core.config import FisOneConfig
 from repro.core.refresh import RefreshReport
 from repro.serving.artifacts import has_artifacts
 from repro.serving.drift import DriftSnapshot, RefreshPolicy
-from repro.serving.netserver import ShardSpec, serve_local_shard
+from repro.serving.netserver import ShardSpec, serve_local_shard, set_send_timeout
 from repro.serving.registry import RegistryStats, validate_building_id
 from repro.serving.results import LabelRequest, LabelResponse, ServerStats
 from repro.serving.server import MIN_STATS_WINDOW_S
@@ -390,6 +390,7 @@ class _ShardHandle:
         #: This shard's identity on the consistent-hash ring: the worker
         #: index for owned shards, ``"host:port"`` for connect-only ones.
         self.entry: RingEntry = index if address is None else "%s:%d" % address
+        set_send_timeout(sock)
         self.sock = sock
         #: Where a connect-only shard listens; ``None`` for owned workers.
         self.address = address
@@ -553,7 +554,11 @@ class _ShardHandle:
         """Write one request frame; a broken connection withdraws it.
 
         Writes take their own lock, never ``self.lock``: the reader must
-        keep draining responses while a sender waits on a full socket.
+        keep draining responses while a sender waits on a full socket.  A
+        write that fails, or makes no progress for the send deadline (the
+        shard stopped reading), may leave part of a frame on the wire, so
+        the connection is shut: the reader then fails every pending request
+        and reports the loss, which runs failover.
         """
         try:
             with self.send_lock:
@@ -565,6 +570,10 @@ class _ShardHandle:
                     self.inflight -= 1
                     self._inflight_gauge.set(self.inflight)
                 self.dead = True
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             raise ShardDownError(
                 f"fleet shard {self.index} connection is broken: {error}"
             ) from None

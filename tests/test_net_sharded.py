@@ -43,6 +43,7 @@ from repro.serving.transport import (
     OP_PONG,
     decode_labels,
     encode_frame,
+    encode_pong,
     recv_frame,
 )
 from repro.simulate import generate_single_building
@@ -412,6 +413,80 @@ class TestServerRobustness:
         with pytest.raises(ValueError, match="num_workers must be >= 1"):
             fleet.start()
         assert not fleet.running
+
+    def test_shard_that_stops_reading_fails_submit_not_hangs(
+        self, net_store, monkeypatch
+    ):
+        """A connect-mode shard answers its startup ping, then never reads.
+
+        Once its socket fills, a submit's write misses the send deadline:
+        the submit raises ShardDownError instead of blocking forever, every
+        request still pending on that shard completes exactly once with a
+        typed error, and the ring fails the shard over to the healthy one.
+        """
+        monkeypatch.setattr(netserver, "SEND_TIMEOUT_S", 0.5)
+        store, streams = net_store
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        host, port = listener.getsockname()
+        release = threading.Event()
+
+        def stalled_shard():
+            conn, _ = listener.accept()
+            _, seq, _ = recv_frame(conn)
+            conn.sendall(encode_frame(OP_PONG, seq, encode_pong(os.getpid())))
+            release.wait(timeout=60)
+            conn.close()
+
+        shard_thread = threading.Thread(target=stalled_shard, daemon=True)
+        shard_thread.start()
+        healthy = ShardServer(shard_spec(store)).start()
+        records = tuple(streams[BUILDING_IDS[0]])
+        futures, completions = [], []
+        try:
+            with ShardedFleetServer(
+                store,
+                config=FAST_CONFIG,
+                shard_addresses=[f"{host}:{port}", "%s:%d" % healthy.address],
+                max_inflight=100_000,
+                heartbeat_interval_s=60.0,
+            ) as fleet:
+                stalled = fleet._shards[0]
+                # Any id the stalled shard owns will do: it never reads one.
+                building_id = next(
+                    f"stalled-{index}"
+                    for index in range(1000)
+                    if fleet._route(f"stalled-{index}") is stalled
+                )
+                started = time.monotonic()
+                with pytest.raises(ShardDownError):
+                    while time.monotonic() - started < 30:
+                        future = fleet.submit(building_id, records)
+                        future.add_done_callback(completions.append)
+                        futures.append(future)
+                assert time.monotonic() - started < 30
+                assert futures, "the first submit already failed"
+                for future in futures:
+                    assert isinstance(future.exception(timeout=10), ShardDownError)
+                assert stalled.dead
+                deadline = time.monotonic() + 5.0
+                while fleet._route(building_id) is stalled:
+                    assert time.monotonic() < deadline, "the stalled shard was never failed over"
+                    time.sleep(0.05)
+                kinds = [event.kind for event in fleet.telemetry.events.snapshot()]
+                assert EVENT_SHARD_DOWN in kinds
+                response = fleet.submit(BUILDING_IDS[0], records).result(timeout=30)
+                assert len(response.labels) == len(records)
+        finally:
+            release.set()
+            listener.close()
+            shard_thread.join(timeout=10)
+            healthy.stop()
+        assert not shard_thread.is_alive()
+        assert len(completions) == len(futures)
+        assert {id(future) for future in completions} == {id(f) for f in futures}
 
 
 def label_frame(seq, request):
