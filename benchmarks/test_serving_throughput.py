@@ -373,14 +373,15 @@ def test_sharded_worker_count_sweep(tmp_path):
     )
 
 
-#: Alternating measurement rounds per telemetry mode for the overhead check.
-#: Best-of-N per mode: load bursts hit single rounds, not the best round.
-TELEMETRY_OVERHEAD_ROUNDS = 9
+#: ABBA measurement rounds for the overhead check: each round serves one
+#: run per mode, then one more per mode in reverse order, so a load change
+#: during a round bills both modes alike.
+TELEMETRY_OVERHEAD_ROUNDS = 200
 
-#: Records per measured run — a multiple of the sweep workload, so one run
-#: does enough work that per-run fixed costs (thread pool spin-up, cache
-#: warm) are negligible against the serving loop being measured.
-TELEMETRY_OVERHEAD_RECORDS = SWEEP_RECORDS * 4
+#: Records per measured run.  Runs are short so the modes interleave finely:
+#: serving CPU on a shared host swings by tens of percent within seconds,
+#: and only runs taken close together see the same conditions.
+TELEMETRY_OVERHEAD_RECORDS = 512
 
 #: Request batch size driven through the overhead comparison: the same
 #: coalesced batch size the throughput sweep serves at, so the per-*batch*
@@ -395,17 +396,19 @@ MAX_TELEMETRY_OVERHEAD = 0.02
 def test_telemetry_overhead_under_two_percent():
     """Full-stack instrumentation must cost < 2% fleet throughput.
 
-    Runs the same columnar traffic through the FleetServer with a live
-    :class:`~repro.telemetry.Telemetry` sink (histograms, counters on every
-    batch) and with ``Telemetry.disabled()`` (shared no-op metrics), and
-    compares the **process CPU time** of the serving loop, best-of-N per
-    mode with modes alternating.  CPU time is the right meter here: the
-    instrumentation's cost *is* extra cycles on the serving path, and
-    ``time.process_time`` counts exactly those — wall-clock throughput on a
-    busy CI runner swings tens of percent with scheduler luck, far above
-    the 2% resolution this gate needs.  The equivalent throughput ratio
-    (disabled CPU over enabled CPU — records-per-CPU-second is its inverse)
-    lands in ``BENCH_serving.json`` where the perf-guard floors it.
+    Serves the same columnar traffic through two FleetServers, one with a
+    live :class:`~repro.telemetry.Telemetry` sink (histograms, counters on
+    every batch) and one with ``Telemetry.disabled()`` (shared no-op
+    metrics), and compares their **process CPU time** over the same work.
+    CPU time is the right meter here: the instrumentation's cost *is* extra
+    cycles on the serving path, and ``time.process_time`` counts exactly
+    those.  It still swings tens of percent run to run on a shared
+    host, and its lower tail is thin, so a best-of-N minimum lands several
+    percent apart between two identical modes.  Each ABBA round yields one
+    ratio (disabled CPU over enabled CPU — records-per-CPU-second is its
+    inverse) from runs taken moments apart; the median over many rounds
+    resolves the 2% budget.  It lands in ``BENCH_serving.json`` where the
+    perf-guard floors it.
     """
     labeled = generate_single_building(num_floors=3, samples_per_floor=45, seed=5)
     train, held_labeled = labeled.holdout_split(train_per_floor=30)
@@ -427,47 +430,50 @@ def test_telemetry_overhead_under_two_percent():
         for start in range(0, len(records), TELEMETRY_OVERHEAD_BATCH)
     ]
 
-    def run_once(telemetry: Telemetry) -> float:
-        """Serving CPU seconds for one pass of the full workload."""
+    servers = {}
+    for mode, telemetry in (("disabled", Telemetry.disabled()), ("enabled", Telemetry())):
         registry = BuildingRegistry(config=fast_config(), telemetry=telemetry)
         registry.add_fitted("building-0", fitted)
-        with FleetServer(registry, num_workers=1, max_batch_size=64) as server:
-            # Collect, then pause GC entirely for the measured region: in a
-            # long-lived pytest process a gen-0 pass over thousands of
-            # tracked objects lands mid-run and bills whichever mode drew
-            # the short straw, swamping a 2% signal.
-            gc.collect()
-            gc.disable()
-            try:
-                cpu_started = time.process_time()
-                futures = [server.submit("building-0", chunk) for chunk in chunks]
-                for future in futures:
-                    future.result()
-                cpu_seconds = time.process_time() - cpu_started
-            finally:
-                gc.enable()
-        return cpu_seconds
+        servers[mode] = FleetServer(registry, num_workers=1, max_batch_size=64)
 
-    run_once(Telemetry.disabled())  # warmup: caches, thread pools, allocator
-    best = {"enabled": float("inf"), "disabled": float("inf")}
-    for _ in range(TELEMETRY_OVERHEAD_ROUNDS):
-        best["disabled"] = min(best["disabled"], run_once(Telemetry.disabled()))
-        best["enabled"] = min(best["enabled"], run_once(Telemetry()))
-    ratio = best["disabled"] / best["enabled"]
+    def run_once(server: FleetServer) -> float:
+        """Serving CPU seconds for one pass of the workload."""
+        cpu_started = time.process_time()
+        futures = [server.submit("building-0", chunk) for chunk in chunks]
+        for future in futures:
+            future.result()
+        return time.process_time() - cpu_started
+
+    cpu_seconds = {mode: np.zeros(TELEMETRY_OVERHEAD_ROUNDS) for mode in servers}
+    with servers["disabled"], servers["enabled"]:
+        for server in servers.values():  # warmup: caches, metric children
+            run_once(server)
+        # Collect, then pause GC for the measured loop: a collection pass
+        # lands in whichever run drew the short straw.
+        gc.collect()
+        gc.disable()
+        try:
+            for round_index in range(TELEMETRY_OVERHEAD_ROUNDS):
+                for mode in ("disabled", "enabled", "enabled", "disabled"):
+                    cpu_seconds[mode][round_index] += run_once(servers[mode])
+        finally:
+            gc.enable()
+    median = {mode: float(np.median(rounds)) for mode, rounds in cpu_seconds.items()}
+    ratio = float(np.median(cpu_seconds["disabled"] / cpu_seconds["enabled"]))
 
     _merge_bench(
         {
-            "telemetry_enabled_cpu_s": best["enabled"],
-            "telemetry_disabled_cpu_s": best["disabled"],
+            "telemetry_enabled_cpu_s": median["enabled"],
+            "telemetry_disabled_cpu_s": median["disabled"],
             "telemetry_throughput_ratio": ratio,
         }
     )
 
-    print(f"\nTelemetry overhead ({len(records)} records, "
-          f"batch={TELEMETRY_OVERHEAD_BATCH}, best of "
-          f"{TELEMETRY_OVERHEAD_ROUNDS} alternating rounds):")
-    print(f"  disabled: {best['disabled'] * 1e3:9.1f} ms serving CPU")
-    print(f"  enabled : {best['enabled'] * 1e3:9.1f} ms serving CPU")
+    print(f"\nTelemetry overhead ({len(records)} records per run, "
+          f"batch={TELEMETRY_OVERHEAD_BATCH}, median of "
+          f"{TELEMETRY_OVERHEAD_ROUNDS} ABBA rounds):")
+    print(f"  disabled: {median['disabled'] * 1e3:9.2f} ms serving CPU per round")
+    print(f"  enabled : {median['enabled'] * 1e3:9.2f} ms serving CPU per round")
     print(f"  ratio   : {ratio:.4f}   (written to {BENCH_OUTPUT.name})")
 
     assert ratio >= 1.0 - MAX_TELEMETRY_OVERHEAD, (
