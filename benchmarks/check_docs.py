@@ -14,7 +14,11 @@ no numpy, so this never imports ``repro``; everything is text and
 4. every perf-guard floor key in ``benchmarks/baselines/*.json`` is
    documented in ``docs/benchmarks.md``;
 5. the public serving/telemetry API keeps its docstrings (classes and
-   public methods of the operator-facing surface).
+   public methods of the operator-facing surface);
+6. no module under ``src tests benchmarks examples`` (the tree ``ruff``
+   lints) imports a name at top level that it never uses — the stdlib
+   stand-in for ruff's F401 where ruff is not installed.  Names listed in
+   ``__all__`` and import lines marked ``# noqa`` count as used.
 
 Usage::
 
@@ -40,6 +44,9 @@ DOCSTRING_SURFACE = {
     REPO / "src/repro/serving/autoscale.py": ["Autoscaler", "AutoscalePolicy"],
     REPO / "src/repro/telemetry/metrics.py": ["MetricsRegistry"],
 }
+
+#: The trees check 6 scans for unused top-level imports.
+LINT_ROOTS = ["src", "tests", "benchmarks", "examples"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 METRIC_RE = re.compile(r"`((?:fleet|fisone|replay)_[a-z0-9_]+)`")
@@ -166,18 +173,79 @@ def check_docstrings(errors: list) -> None:
                     )
 
 
+def imported_names(tree: ast.Module, lines: list) -> dict:
+    """Name bound by each top-level import of ``tree`` -> its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            if alias.name != "*":
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def string_constants(node: ast.AST) -> list:
+    return [
+        part.value
+        for part in ast.walk(node)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+    ]
+
+
+def used_names(tree: ast.Module) -> set:
+    """Every name the module reads, including inside string annotations and
+    the string entries of ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # ``annotation`` exists on arguments and annotated assignments,
+        # ``returns`` on functions.
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for text in string_constants(annotation) if annotation is not None else []:
+            try:
+                quoted = ast.parse(text, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(part.id for part in ast.walk(quoted) if isinstance(part, ast.Name))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(string_constants(node.value))
+    return used
+
+
+def check_unused_imports(errors: list) -> None:
+    for root in LINT_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            source = path.read_text()
+            tree = ast.parse(source)
+            used = used_names(tree)
+            for name, line in imported_names(tree, source.splitlines()).items():
+                if name not in used:
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{line}: `{name}` imported but unused"
+                    )
+
+
 def main() -> int:
     errors: list = []
     check_links(errors)
     check_operations_names(errors, source_string_literals())
     check_benchmark_floors(errors)
     check_docstrings(errors)
+    check_unused_imports(errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s)")
         for error in errors:
             print(f"  - {error}")
         return 1
-    print("check_docs: docs, metrics, events, floors, and docstrings all consistent")
+    print("check_docs: docs, metrics, events, floors, docstrings and imports all consistent")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""T1 — training-engine benchmark: per-stage step costs + shared-memory model store.
+"""T1 — training-engine benchmark: per-stage step costs + mapped model loads.
 
 Two measurements:
 
@@ -9,12 +9,13 @@ Two measurements:
   The medians are written as unasserted diagnostics next to the step's
   median total and the fit's pairs/s and steps/s: they say where a step's
   time goes, and no wall-clock number here gates anything.
-* **Shared-memory store** — per-worker incremental private RSS of loading
-  the same hot building's artifacts in 1/2/4 forked workers, with and
-  without a :class:`~repro.serving.shared_store.SharedArrayStore`.  The
-  shared path decodes once into named POSIX segments and every sibling
-  attaches the same physical pages.  This is the one asserted and guarded
-  number (``rss_reduction_at_4_workers``): page accounting, not timing.
+* **Mapped model loads** — per-worker incremental private RSS of loading
+  the same hot building's artifacts in 1/2/4 forked workers, through
+  :func:`~repro.serving.artifacts.load_artifacts` (which maps
+  ``arrays.bin`` read-only, so siblings share its page-cache pages) and
+  through a heap read of the same bundle done here as the private-copy
+  baseline.  This is the one asserted and guarded number
+  (``rss_reduction_at_4_workers``): page accounting, not timing.
 
 Results go to ``BENCH_training.json`` at the repository root; the RSS
 metric is guarded by ``benchmarks/perf_guard.py``.
@@ -40,8 +41,9 @@ from repro.gnn.model import RFGNNConfig
 from repro.gnn.trainer import RFGNNTrainer
 from repro.graph.csr import CSRGraph
 from repro.graph.walks import WalkConfig
+import repro.serving.artifacts as artifacts_module
 from repro.serving import load_artifacts, save_artifacts
-from repro.serving.shared_store import SharedArrayStore
+from repro.serving.bundle import bundle_views
 from repro.simulate.collector import CollectionConfig
 from repro.simulate.generators import BuildingConfig, generate_building_dataset
 
@@ -50,9 +52,9 @@ BENCH_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_training.json"
 #: Best-of-N rounds for every timed section.
 ROUNDS = 2
 
-#: At 4 workers, the shared path's per-worker incremental RSS must stay
-#: under half the private-copy path's (the PR's acceptance criterion).
-MAX_SHARED_RSS_FRACTION = 0.5
+#: At 4 workers, the mapped load's per-worker incremental RSS must stay
+#: under half the heap read's.
+MAX_MMAP_RSS_FRACTION = 0.5
 
 #: Worker counts of the RSS curve.
 WORKER_COUNTS = (1, 2, 4)
@@ -97,8 +99,8 @@ PIPELINE_CONFIG = FisOneConfig(
 )
 
 pytestmark = pytest.mark.skipif(
-    not os.path.exists("/proc/self/smaps_rollup") or not os.path.isdir("/dev/shm"),
-    reason="needs Linux smaps_rollup accounting and a POSIX shared-memory fs",
+    not os.path.exists("/proc/self/smaps_rollup"),
+    reason="needs Linux smaps_rollup accounting",
 )
 
 
@@ -131,7 +133,7 @@ def _trim_heap() -> None:
 
     Decode transients freed back to the allocator otherwise linger in the
     process's RSS and would be misread as per-worker cost; trimming before
-    each counter read — in the private and the shared path alike — makes the
+    each counter read — in the heap and the mapped path alike — makes the
     measurement the memory a worker actually *pins*.
     """
     try:
@@ -143,9 +145,9 @@ def _trim_heap() -> None:
 def _private_rss_kb() -> int:
     """This process's private (unshared) resident memory, in KiB.
 
-    ``Private_Clean + Private_Dirty`` from ``smaps_rollup`` — pages backed
-    by a shared-memory segment are *shared*, so they never show up here no
-    matter how hot they are.  That is exactly the accounting under test.
+    ``Private_Clean + Private_Dirty`` from ``smaps_rollup`` — file pages
+    that sibling processes map too are *shared*, so they never show up here
+    no matter how hot they are.  That is exactly the accounting under test.
     """
     total = 0
     with open("/proc/self/smaps_rollup") as handle:
@@ -166,66 +168,55 @@ def _touch(fitted) -> float:
     return checksum
 
 
-def _rss_worker(artifact_dir, prefix, rank, results, release, first_done):
-    """One forked worker: load (shared or private), report its RSS delta."""
-    store = (
-        SharedArrayStore(prefix=prefix, unlink_on_close=False)
-        if prefix is not None
-        else None
-    )
-    # Stagger rank 0 ahead of the rest: in the shared fleet the first load
-    # decodes and publishes, every later worker attaches the same segment
-    # ("producer runs only on the first load fleet-wide").  Without the
-    # stagger all workers race the publish and each pays a private decode —
-    # a boot transient, not the steady state this measures.
-    if rank > 0:
-        first_done.wait(timeout=120)
+def _heap_read_arrays(path):
+    """The private-copy baseline: read ``arrays.bin`` into the heap."""
+    return bundle_views(np.fromfile(path, dtype=np.uint8))
+
+
+def _rss_worker(artifact_dir, mode, rank, results, barrier):
+    """One forked worker: load (mapped or heap), report its RSS delta."""
+    if mode == "heap":
+        # Forked: the swap is local to this worker.
+        artifacts_module._read_arrays = _heap_read_arrays
     gc.collect()
     _trim_heap()
     before = _private_rss_kb()
-    fitted = load_artifacts(artifact_dir, shared_store=store)
+    fitted = load_artifacts(artifact_dir)
     _touch(fitted)
     # Collect and trim before reading the counter: what this measures is the
     # memory a resident worker *keeps* per loaded building, not decode
     # transients waiting for the next collection or sitting in heap slack.
     gc.collect()
     _trim_heap()
+    # Read the counter once every sibling holds the model (a page mapped by
+    # one process alone counts as private), and hold it until every sibling
+    # has read its own.
+    barrier.wait(timeout=120)
     results.put((rank, _private_rss_kb() - before))
-    if rank == 0:
-        first_done.set()
-    # Hold the arrays until every sibling has measured, so attachers always
-    # find the publisher's segment alive.
-    release.wait(timeout=120)
-    if store is not None:
-        store.close()
+    barrier.wait(timeout=120)
 
 
-def _measure_rss_curve(artifact_dir: Path, prefix_base: str):
-    """Mean per-worker incremental private RSS, shared vs private, per count."""
+def _measure_rss_curve(artifact_dir: Path):
+    """Mean per-worker incremental private RSS, mapped vs heap, per count."""
     context = multiprocessing.get_context("fork")
     curve = {}
     for count in WORKER_COUNTS:
         entry = {}
-        for mode in ("private", "shared"):
-            prefix = f"{prefix_base}-{mode}-{count}" if mode == "shared" else None
+        for mode in ("heap", "mmap"):
             results = context.Queue()
-            release = context.Event()
-            first_done = context.Event()
+            barrier = context.Barrier(count)
             workers = [
                 context.Process(
                     target=_rss_worker,
-                    args=(artifact_dir, prefix, rank, results, release, first_done),
+                    args=(artifact_dir, mode, rank, results, barrier),
                 )
                 for rank in range(count)
             ]
             for worker in workers:
                 worker.start()
             deltas = [results.get(timeout=120)[1] for _ in workers]
-            release.set()
             for worker in workers:
                 worker.join(timeout=120)
-            if prefix is not None:
-                SharedArrayStore.sweep(prefix)
             entry[f"{mode}_kb_per_worker"] = sum(deltas) / len(deltas)
             entry[f"{mode}_kb_workers"] = deltas
         curve[str(count)] = entry
@@ -332,17 +323,14 @@ def test_training_engine_throughput(tmp_path, monkeypatch):
         lambda: fis.fit(observed, anchor.record_id)
     )
 
-    # -- shared-store RSS curve over the fitted building's artifacts ---------
+    # -- RSS curve of mapped vs heap loads of the fitted building ------------
     artifact_dir = tmp_path / "model"
     save_artifacts(fitted, artifact_dir)
-    prefix_base = f"fisone-bench-{os.getpid()}"
-    curve = _measure_rss_curve(artifact_dir, prefix_base)
+    curve = _measure_rss_curve(artifact_dir)
     four = curve[str(WORKER_COUNTS[-1])]
-    private_kb = four["private_kb_per_worker"]
-    shared_kb = four["shared_kb_per_worker"]
-    # A shared attach can land at ~0 incremental KiB; floor the denominator
+    # A mapped load can land at ~0 incremental KiB; floor the denominator
     # so the reported fraction stays finite and honest.
-    shared_fraction = max(shared_kb, 0.0) / max(private_kb, 1.0)
+    mmap_fraction = max(four["mmap_kb_per_worker"], 0.0) / max(four["heap_kb_per_worker"], 1.0)
 
     payload = {
         "num_records": len(dataset),
@@ -359,10 +347,10 @@ def test_training_engine_throughput(tmp_path, monkeypatch):
         "steps_per_second": steps_total / train_cpu,
         "pipeline_fit_cpu_seconds": fit_cpu,
         "pipeline_fit_wall_seconds": fit_wall,
-        "shared_store": {
+        "artifact_loads": {
             "rss_curve_kb": curve,
-            "shared_vs_private_rss_fraction_4w": shared_fraction,
-            "rss_reduction_at_4_workers": max(0.0, 1.0 - shared_fraction),
+            "mmap_vs_heap_rss_fraction_4w": mmap_fraction,
+            "rss_reduction_at_4_workers": max(0.0, 1.0 - mmap_fraction),
         },
     }
     BENCH_OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -382,12 +370,12 @@ def test_training_engine_throughput(tmp_path, monkeypatch):
         entry = curve[str(count)]
         print(
             f"  rss    : {count} worker(s)  "
-            f"private {entry['private_kb_per_worker']:8.0f} KiB/worker   "
-            f"shared {entry['shared_kb_per_worker']:8.0f} KiB/worker"
+            f"heap {entry['heap_kb_per_worker']:8.0f} KiB/worker   "
+            f"mmap {entry['mmap_kb_per_worker']:8.0f} KiB/worker"
         )
     print(
-        f"  rss    : shared/private at 4 workers = {shared_fraction:.2f} "
+        f"  rss    : mmap/heap at 4 workers = {mmap_fraction:.2f} "
         f"(written to {BENCH_OUTPUT.name})"
     )
 
-    assert shared_fraction < MAX_SHARED_RSS_FRACTION
+    assert mmap_fraction < MAX_MMAP_RSS_FRACTION

@@ -5,7 +5,9 @@ Everything the seed's batch pipeline lacked for production traffic:
 * :mod:`~repro.serving.artifacts` — versioned save/load of a fitted
   pipeline (GNN weights, MAC vocabulary, embeddings, centroids, the
   cluster → floor index) to a directory of one flat array bundle
-  (``arrays.bin``, :mod:`~repro.serving.bundle`) + JSON manifest.
+  (``arrays.bin``, :mod:`~repro.serving.bundle`) + JSON manifest; every
+  load maps ``arrays.bin`` read-only, so processes serving one store share
+  its pages.
 * :mod:`~repro.serving.online` — :class:`OnlineFloorLabeler`: label *new*
   crowdsourced records through the frozen encoder by nearest cluster
   centroid, with confidence scores and no retraining.
@@ -23,7 +25,7 @@ Everything the seed's batch pipeline lacked for production traffic:
   (``refresh_drifted``).
 * :mod:`~repro.serving.sharded` — :class:`ShardedFleetServer`: the fleet
   consistent-hash partitioned across shard *processes*, each running a
-  :class:`FleetServer` over zero-copy (mmap) artifact loads, with bounded
+  :class:`FleetServer` over the shared store's mapped artifacts, with bounded
   per-shard queues (:class:`ShardOverloadedError` backpressure),
   heartbeat failover, live join/drain, and fleet-wide
   stats/drift/refresh aggregation.

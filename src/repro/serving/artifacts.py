@@ -7,14 +7,14 @@ format-version discipline of :mod:`repro.signals.io`:
   record ids, the cluster → floor index, the loss trajectory, and the full
   pipeline configuration (so a loaded model knows exactly how it was made);
 * ``arrays.bin`` — every NumPy artefact, as one flat array bundle
-  (:mod:`repro.serving.bundle`, the layout shared-memory segments use): the
-  trained ``W_k`` matrices, the per-hop frozen MAC representations, the
-  normalised sample embeddings, the cluster centroids, cluster labels,
-  floor labels, the cluster similarity matrix, and the frozen CSR training
-  graph (``indptr``/``indices``/``weights`` plus node-kind and key tables),
-  so a loaded model can warm-start ``add_record``-style graph growth
-  without re-parsing the dataset.  A load is one read (or one ``mmap``) of
-  this file plus ``np.frombuffer`` views.
+  (:mod:`repro.serving.bundle`): the trained ``W_k`` matrices, the per-hop
+  frozen MAC representations, the normalised sample embeddings, the
+  cluster centroids, cluster labels, floor labels, the cluster similarity
+  matrix, and the frozen CSR training graph (``indptr``/``indices``/
+  ``weights`` plus node-kind and key tables), so a loaded model can
+  warm-start ``add_record``-style graph growth without re-parsing the
+  dataset.  A load is one read-only ``mmap`` of this file plus
+  ``np.frombuffer`` views.
 
 ``load_artifacts(save_artifacts(fitted))`` reconstructs a
 :class:`~repro.core.pipeline.FittedFisOne` whose ``predict`` reproduces the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import mmap as mmap_module
+import mmap
 import os
 import re
 import shutil
@@ -48,7 +48,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.walks import WalkConfig
 from repro.indexing.indexer import IndexingResult
 from repro.serving.bundle import bundle_views, pack_bundle
-from repro.serving.shared_store import SharedArrayStore, SharedStoreError
 
 PathLike = Union[str, Path]
 
@@ -428,45 +427,29 @@ def has_artifacts(directory: PathLike) -> bool:
     ).is_file()
 
 
-def _read_arrays(path: Path, mmap: bool) -> Dict[str, np.ndarray]:
+def _read_arrays(path: Path) -> Dict[str, np.ndarray]:
     """Read-only views of every array in one ``arrays.bin``.
 
-    Eagerly, the file is read once into a NumPy-owned buffer.  Under
-    ``mmap=True`` it is mapped once, read-only, and the views share the
-    page cache with every other process mapping the same artifact.
+    The file is mapped once, read-only, and the views share the page cache
+    with every other process mapping the same artifact.  Saves replace
+    ``arrays.bin`` by rename and never write into it, so a mapping of an
+    older save stays valid after an overwrite.
     """
-    if not mmap:
-        return bundle_views(np.fromfile(path, dtype=np.uint8))
     with open(path, "rb") as handle:
-        mapped = mmap_module.mmap(handle.fileno(), 0, access=mmap_module.ACCESS_READ)
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     return bundle_views(mapped)
 
 
-def load_artifacts(
-    directory: PathLike,
-    mmap: bool = False,
-    shared_store: Optional[SharedArrayStore] = None,
-    version: Optional[int] = None,
-) -> FittedFisOne:
+def load_artifacts(directory: PathLike, version: Optional[int] = None) -> FittedFisOne:
     """Load a fitted model saved by :func:`save_artifacts`.
 
-    Every mode returns read-only arrays viewing one buffer that holds the
-    whole ``arrays.bin`` bundle, and reconstructs a model bit-identical to
-    every other mode — every consumer of a fitted model's arrays treats
-    them as immutable (mutating stages such as
-    :meth:`~repro.core.pipeline.FittedFisOne.refresh` copy before writing).
-    By default the file is read once into the heap.  With ``mmap=True`` it
-    is memory-mapped instead (zero-copy load): construction parses only the
-    bundle header, the data pages fault in on first use, and worker
-    processes serving the same store share physical pages.
-
-    With a ``shared_store`` (which supersedes ``mmap``), the bundle lives in
-    a named POSIX shared-memory segment keyed by this directory and its save
-    token: the first process fleet-wide to load this save copies the file's
-    bytes into the segment unchanged; every later load — including sibling
-    shard workers — attaches read-only views of the same physical pages.  A
-    re-save changes the token and therefore the segment, so stale
-    generations are never aliased.
+    ``arrays.bin`` is memory-mapped read-only (zero-copy): construction
+    parses only the bundle header, the data pages fault in on first use,
+    and processes serving the same store share physical pages.  The
+    returned model's arrays are read-only views of that mapping; every
+    consumer of a fitted model's arrays treats them as immutable (mutating
+    stages such as :meth:`~repro.core.pipeline.FittedFisOne.refresh` copy
+    before writing).
 
     In a versioned store (one written with ``keep_generations``), the load
     follows the ``CURRENT`` pointer by default; ``version=N`` opens the
@@ -517,15 +500,8 @@ def load_artifacts(
         raise ArtifactError(f"no {ARRAYS_FILENAME} in {directory}")
 
     try:
-        if shared_store is not None:
-            # Keyed by resolved path *and* save token: every worker of one
-            # fleet resolves the same bundle, and an overwritten artifact
-            # gets a fresh bundle instead of aliasing the old arrays.
-            bundle = f"artifact:{directory.resolve()}:{manifest['save_token']}"
-            arrays = shared_store.get_or_publish(bundle, arrays_path.read_bytes)
-        else:
-            arrays = _read_arrays(arrays_path, mmap=mmap)
-    except (OSError, ValueError, SharedStoreError) as error:
+        arrays = _read_arrays(arrays_path)
+    except (OSError, ValueError) as error:
         raise ArtifactError(f"unreadable arrays in {directory}: {error}") from None
     num_hops = int(manifest["num_hops"])
     try:

@@ -1,10 +1,8 @@
 """The flat array bundle: named NumPy arrays packed into one buffer.
 
-One layout serves both homes of a fitted model's arrays: the
-``arrays.bin`` file of an artifact directory (:mod:`repro.serving.artifacts`)
-and a named POSIX shared-memory segment (:mod:`repro.serving.shared_store`).
-A published segment is a byte-for-byte copy of the file, so loading one
-never decodes anything:
+This is the layout of an artifact directory's ``arrays.bin``
+(:mod:`repro.serving.artifacts`), built so that loading one never decodes
+anything:
 
 * an 8-byte magic;
 * an 8-byte little-endian header length;
@@ -15,9 +13,8 @@ never decodes anything:
 A bundle ends at its last payload byte, so a truncated copy always leaves
 some payload past the end.  :func:`bundle_views` validates every header
 field against the buffer before building read-only ``np.frombuffer`` views
-over it — whether that buffer is a NumPy-owned copy of the file, an
-``mmap`` of it, or a shared segment.  Object dtypes are refused on both
-sides, so nothing is ever unpickled.
+over it — in serving, a read-only ``mmap`` of the file.  Object dtypes are
+refused on both sides, so nothing is ever unpickled.
 """
 
 from __future__ import annotations
@@ -50,10 +47,7 @@ def _aligned(size: int) -> int:
 
 
 def pack_bundle(arrays: Mapping[str, np.ndarray]) -> bytearray:
-    """Pack ``arrays`` into one bundle buffer (see the module docstring).
-
-    The magic is written last, after the header and every payload.
-    """
+    """Pack ``arrays`` into one bundle buffer (see the module docstring)."""
     # asarray(order="C") rather than ascontiguousarray: the latter
     # silently promotes 0-d arrays (the save token) to 1-d.
     contiguous = {name: np.asarray(array, order="C") for name, array in arrays.items()}
@@ -70,6 +64,7 @@ def pack_bundle(arrays: Mapping[str, np.ndarray]) -> bytearray:
     header = json.dumps({"arrays": entries}).encode("utf-8")
     payload_start = _aligned(_PREFIX + len(header))
     buffer = bytearray(payload_start + end)
+    buffer[: len(MAGIC)] = MAGIC
     buffer[len(MAGIC) : _PREFIX] = len(header).to_bytes(8, "little")
     buffer[_PREFIX : _PREFIX + len(header)] = header
     for entry, array in zip(entries, contiguous.values()):
@@ -80,7 +75,6 @@ def pack_bundle(arrays: Mapping[str, np.ndarray]) -> bytearray:
             offset=payload_start + entry["offset"],
         ).reshape(array.shape)
         np.copyto(target, array, casting="no")
-    buffer[: len(MAGIC)] = MAGIC
     return buffer
 
 
@@ -92,10 +86,10 @@ def bundle_views(buffer) -> Dict[str, np.ndarray]:
     """Read-only array views over one bundle held in ``buffer``.
 
     ``buffer`` is any one-dimensional byte buffer: ``bytes``, a ``uint8``
-    array, an ``mmap.mmap`` or a shared segment's ``memoryview``.  The views
-    keep it alive.  Raises :class:`BundleError` on a bad magic, a header
-    length past the end, an unparseable header, an object dtype, a
-    negative shape or offset, or a payload past the end of the buffer.
+    array or an ``mmap.mmap``.  The views keep it alive.  Raises
+    :class:`BundleError` on a bad magic, a header length past the end, an
+    unparseable header, an object dtype, a negative shape or offset, or a
+    payload past the end of the buffer.
     """
     with memoryview(buffer) as view:
         size = view.nbytes

@@ -64,7 +64,6 @@ from repro.core.config import FisOneConfig
 from repro.serving.drift import RefreshPolicy
 from repro.serving.registry import BuildingRegistry, validate_building_id
 from repro.serving.server import FleetServer
-from repro.serving.shared_store import SharedArrayStore
 from repro.serving.transport import (
     HEADER_SIZE,
     OP_CONTROL,
@@ -103,8 +102,8 @@ SEND_TIMEOUT_S = 5.0
 class ShardSpec:
     """Everything one shard needs to build its serving stack.
 
-    ``capacity``, ``config``, ``refresh_policy``, ``mmap`` and
-    ``keep_generations`` configure the shard's
+    ``capacity``, ``config``, ``refresh_policy`` and ``keep_generations``
+    configure the shard's
     :class:`~repro.serving.registry.BuildingRegistry` (every shard of a
     fleet shares one store, so they must agree on its layout).
     ``inner_workers`` and ``max_batch_size`` configure the inner
@@ -112,21 +111,17 @@ class ShardSpec:
     running is labeled at once, and requests arriving behind a running
     batch go out together when it finishes (or on reaching
     ``max_batch_size``), so batch size follows load with no timer.
-    ``shared_prefix``, when set, routes artifact loads through a
-    :class:`~repro.serving.shared_store.SharedArrayStore` under that
-    segment prefix.  ``max_inflight`` bounds label requests outstanding
-    across *all* of the shard's connections.
+    ``max_inflight`` bounds label requests outstanding across *all* of the
+    shard's connections.
     """
 
     store_dir: PathLike
     capacity: int = 8
     config: Optional[FisOneConfig] = None
     refresh_policy: Optional[RefreshPolicy] = None
-    mmap: bool = True
     inner_workers: int = 2
     max_batch_size: int = 64
     keep_generations: Optional[int] = None
-    shared_prefix: Optional[str] = None
     max_inflight: int = 64
 
 
@@ -241,7 +236,6 @@ class ShardServer:
         self._lifecycle_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._shared_store: Optional[SharedArrayStore] = None
         self._registry: Optional[BuildingRegistry] = None
         self._server: Optional[FleetServer] = None
         self._control_pool: Optional[ThreadPoolExecutor] = None
@@ -315,18 +309,11 @@ class ShardServer:
                 self.port = listener.getsockname()[1]
             self.telemetry.events.emit(EVENT_SHARD_START, pid=os.getpid())
             spec = self.spec
-            self._shared_store = (
-                SharedArrayStore(prefix=spec.shared_prefix)
-                if spec.shared_prefix is not None
-                else None
-            )
             self._registry = BuildingRegistry(
                 store_dir=str(spec.store_dir),
                 capacity=spec.capacity,
                 config=spec.config,
                 refresh_policy=spec.refresh_policy,
-                mmap=spec.mmap,
-                shared_store=self._shared_store,
                 telemetry=self.telemetry,
                 keep_generations=spec.keep_generations,
             )
@@ -378,9 +365,6 @@ class ShardServer:
             self._server = None
             self._registry = None
             self._control_pool = None
-            if self._shared_store is not None:
-                self._shared_store.close()
-                self._shared_store = None
 
     def __enter__(self) -> "ShardServer":
         return self.start()

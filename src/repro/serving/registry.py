@@ -10,7 +10,9 @@ hot at any moment.  :class:`BuildingRegistry` owns that multiplexing:
   fleet larger than memory stays servable;
 * with a ``store_dir``, every fit is written through to disk as a versioned
   artifact (:mod:`repro.serving.artifacts`), and evicted or never-seen
-  buildings are reloaded from there instead of refit;
+  buildings are reloaded from there instead of refit — each load maps the
+  artifact's ``arrays.bin`` read-only, so registries in sibling processes
+  over one store share its pages;
 * ``label(building_id, records)`` is the one-call batch entry point the
   fleet server drives;
 * every building's label traffic feeds a per-building
@@ -49,7 +51,6 @@ from repro.serving.artifacts import (
     set_current_version,
 )
 from repro.serving.drift import DriftMonitor, DriftSnapshot, RefreshPolicy
-from repro.serving.shared_store import SharedArrayStore
 from repro.serving.online import OnlineFloorLabeler
 from repro.serving.results import OnlineLabel
 from repro.signals.batch import RecordBatch
@@ -170,19 +171,6 @@ class BuildingRegistry:
         newest ``keep_generations`` are kept) behind an atomically swapped
         ``CURRENT`` pointer, and :meth:`rollback` can restore any retained
         generation.  ``None`` keeps the flat single-generation layout.
-    mmap:
-        Load stored artifacts with ``mmap=True`` (one read-only memory map
-        of ``arrays.bin`` instead of one read into the heap) — the mode
-        sharded fleet workers run in, so sibling processes serving one
-        store share physical pages.  Fits and refreshes still write
-        ordinary files.
-    shared_store:
-        Optional :class:`~repro.serving.shared_store.SharedArrayStore`;
-        when set it supersedes ``mmap`` and artifact loads go through
-        named shared-memory segments — the first process fleet-wide to load
-        a given save copies its ``arrays.bin`` bytes into a segment, every
-        other process attaches the same physical copy.  The caller owns the
-        store's lifecycle (``close()``/``sweep()``).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` sink shared with the
         layers above.  Model lifecycle operations (fit / load / evict /
@@ -199,8 +187,6 @@ class BuildingRegistry:
         capacity: int = 8,
         config: Optional[FisOneConfig] = None,
         refresh_policy: Optional[RefreshPolicy] = None,
-        mmap: bool = False,
-        shared_store: Optional[SharedArrayStore] = None,
         telemetry: Optional[Telemetry] = None,
         keep_generations: Optional[int] = None,
     ) -> None:
@@ -213,8 +199,6 @@ class BuildingRegistry:
         self.config = config
         self.refresh_policy = refresh_policy or RefreshPolicy()
         self.keep_generations = keep_generations
-        self.mmap = mmap
-        self.shared_store = shared_store
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._stats = RegistryStats()
         self._sources: Dict[str, _TrainingSource] = {}
@@ -866,12 +850,7 @@ class BuildingRegistry:
                     )
                 to_version = max(candidates)
             started = time.perf_counter()
-            fitted = load_artifacts(
-                directory,
-                mmap=self.mmap,
-                shared_store=self.shared_store,
-                version=to_version,
-            )
+            fitted = load_artifacts(directory, version=to_version)
             set_current_version(directory, to_version)
             with self._lock:
                 self._stats.rollbacks += 1
@@ -997,21 +976,13 @@ class BuildingRegistry:
             ):
                 load_started = time.perf_counter()
                 try:
-                    fitted = load_artifacts(
-                        self.store_dir / building_id,
-                        mmap=self.mmap,
-                        shared_store=self.shared_store,
-                    )
+                    fitted = load_artifacts(self.store_dir / building_id)
                 except ArtifactError:
                     try:
                         # A mismatch from racing another process's overwrite
                         # is transient: one re-read usually lands after its
                         # final swap and spares a multi-second refit.
-                        fitted = load_artifacts(
-                            self.store_dir / building_id,
-                            mmap=self.mmap,
-                            shared_store=self.shared_store,
-                        )
+                        fitted = load_artifacts(self.store_dir / building_id)
                     except ArtifactError:
                         # Persistently torn or corrupt (e.g. a writer crashed
                         # mid-swap).  With a registered source the building

@@ -12,10 +12,10 @@ fleet across worker processes:
 * each worker process runs the ordinary in-process
   :class:`~repro.serving.server.FleetServer` over its own
   :class:`~repro.serving.registry.BuildingRegistry` on the shared artifact
-  store, loading models **zero-copy** via
-  :func:`~repro.serving.artifacts.load_artifacts` ``mmap=True`` — sibling
-  workers mapping one store share physical pages instead of each copying
-  every array;
+  store, loading models **zero-copy**:
+  :func:`~repro.serving.artifacts.load_artifacts` maps each ``arrays.bin``
+  read-only, so sibling workers mapping one store share its page-cache
+  pages instead of each copying every array;
 * the dispatcher routes each :class:`LabelRequest` to the owning shard as
   one frame of the binary protocol of :mod:`~repro.serving.transport`
   (columnar payloads travel as compact :class:`_WireBatch` columns and are
@@ -67,7 +67,6 @@ from repro.serving.netserver import ShardSpec, serve_local_shard, set_send_timeo
 from repro.serving.registry import RegistryStats, validate_building_id
 from repro.serving.results import LabelRequest, LabelResponse, ServerStats
 from repro.serving.server import MIN_STATS_WINDOW_S
-from repro.serving.shared_store import SharedArrayStore
 from repro.serving.transport import (
     HEADER_SIZE,
     OP_CONTROL,
@@ -760,18 +759,6 @@ class ShardedFleetServer:
         Per-worker LRU capacity — the aggregate in-memory fleet grows as
         ``num_workers * shard_capacity``, which is the memory half of the
         sharding win.
-    mmap:
-        Zero-copy artifact loads in the workers (default on): each load
-        maps ``arrays.bin`` once, read-only, instead of reading it.
-    shared:
-        Route worker artifact loads through one fleet-wide
-        :class:`~repro.serving.shared_store.SharedArrayStore`: the first
-        worker to load a save copies its ``arrays.bin`` bytes unchanged
-        into a named shared-memory segment, and every sibling attaches the
-        same physical copy — per-worker incremental memory for a hot
-        building drops from one full array set to the mapping overhead.  The segment prefix is derived from
-        ``store_dir``, so fleets over different stores never collide;
-        ``stop()`` sweeps any segments left by crashed workers.
     max_inflight:
         Bounded per-shard label-request window; submits beyond it raise
         :class:`ShardOverloadedError` (backpressure, never unbounded queues).
@@ -827,8 +814,6 @@ class ShardedFleetServer:
         config: Optional[FisOneConfig] = None,
         refresh_policy: Optional[RefreshPolicy] = None,
         shard_capacity: int = 8,
-        mmap: bool = True,
-        shared: bool = False,
         max_inflight: int = 64,
         inner_workers: int = 2,
         max_batch_size: int = 64,
@@ -883,26 +868,13 @@ class ShardedFleetServer:
             else heartbeat_interval_s
         )
         self._connect_timeout_s = connect_timeout_s
-        # Deterministic per-store prefix: every worker of this fleet maps a
-        # building to the same segment names, while fleets over other store
-        # directories (or the same one in another test) stay disjoint.
-        self.shared_prefix = (
-            "fisone-"
-            + hashlib.blake2b(
-                str(self.store_dir.resolve()).encode("utf-8"), digest_size=6
-            ).hexdigest()
-            if shared
-            else None
-        )
         self._spec = ShardSpec(
             store_dir=str(self.store_dir),
             capacity=shard_capacity,
             config=config,
             refresh_policy=refresh_policy,
-            mmap=mmap,
             inner_workers=inner_workers,
             max_batch_size=max_batch_size,
-            shared_prefix=self.shared_prefix,
             keep_generations=keep_generations,
             max_inflight=max_inflight,
         )
@@ -1146,12 +1118,6 @@ class ShardedFleetServer:
                 self._shards = []
                 self._shard_by_entry = {}
             self._live_shards_gauge.set(0)
-            if self.shared_prefix is not None:
-                # Backstop for workers that died without their atexit hook
-                # (SIGKILL, segfault): reap any segment still carrying this
-                # fleet's prefix so crashed shards cannot pin physical
-                # memory past the server's lifetime.
-                SharedArrayStore.sweep(self.shared_prefix)
             with self._stats_lock:
                 if self._started_at is not None:
                     self._stopped_elapsed = time.perf_counter() - self._started_at

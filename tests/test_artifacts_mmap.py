@@ -1,4 +1,4 @@
-"""Artifact loads in every mode: bit-identity, zero-copy, hostile bytes."""
+"""Memory-mapped artifact loads: bit-identity, zero-copy, hostile bytes."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.gnn.model import RFGNNConfig
 from repro.serving import BuildingRegistry, load_artifacts, save_artifacts
 from repro.serving.artifacts import ARRAYS_FILENAME, MANIFEST_FILENAME, ArtifactError
 from repro.serving.bundle import MAGIC
-from repro.serving.shared_store import SharedArrayStore
 
 FAST_CONFIG = FisOneConfig(
     gnn=RFGNNConfig(embedding_dim=16, neighbor_sample_sizes=(10, 5)),
@@ -52,19 +51,19 @@ def fitted_and_stream():
 
 
 class TestMmapLoadEquivalence:
-    def test_labels_bit_identical_to_eager_load(self, fitted_and_stream, tmp_path):
+    def test_labels_identical_to_in_memory_model(self, fitted_and_stream, tmp_path):
         fitted, observed, stream = fitted_and_stream
         save_artifacts(fitted, tmp_path / "model")
-        eager = load_artifacts(tmp_path / "model")
-        mapped = load_artifacts(tmp_path / "model", mmap=True)
-        for a, b in zip(eager.online_floors(stream), mapped.online_floors(stream)):
-            assert np.array_equal(a, b)
-        assert np.array_equal(eager.predict(observed), mapped.predict(observed))
+        mapped = load_artifacts(tmp_path / "model")
+        original, restored = fitted.online_floors(stream), mapped.online_floors(stream)
+        assert np.array_equal(original[0], restored[0])
+        assert np.allclose(original[1], restored[1])
+        assert np.array_equal(fitted.predict(observed), mapped.predict(observed))
 
     def test_arrays_equal_and_read_only(self, fitted_and_stream, tmp_path):
         fitted, _, _ = fitted_and_stream
         save_artifacts(fitted, tmp_path / "model")
-        mapped = load_artifacts(tmp_path / "model", mmap=True)
+        mapped = load_artifacts(tmp_path / "model")
         assert np.array_equal(mapped.centroids, fitted.centroids)
         assert np.array_equal(mapped.result.embeddings, fitted.result.embeddings)
         # The big arrays really are zero-copy maps, and read-only: an
@@ -82,9 +81,9 @@ class TestMmapLoadEquivalence:
     ):
         fitted, _, stream = fitted_and_stream
         save_artifacts(fitted, tmp_path / "first")
-        mapped = load_artifacts(tmp_path / "first", mmap=True)
+        mapped = load_artifacts(tmp_path / "first")
         save_artifacts(mapped, tmp_path / "second")
-        again = load_artifacts(tmp_path / "second", mmap=True)
+        again = load_artifacts(tmp_path / "second")
         for a, b in zip(fitted.online_floors(stream), again.online_floors(stream)):
             assert np.array_equal(a, b)
 
@@ -93,7 +92,7 @@ class TestMmapLoadEquivalence:
 
         fitted, _, stream = fitted_and_stream
         save_artifacts(fitted, tmp_path / "model")
-        mapped = load_artifacts(tmp_path / "model", mmap=True)
+        mapped = load_artifacts(tmp_path / "model")
         new_records = [
             SignalRecord(f"fresh-{i}", dict(record.readings))
             for i, record in enumerate(stream[:6])
@@ -103,20 +102,35 @@ class TestMmapLoadEquivalence:
         result = mapped.refresh(new_records, fine_tune_epochs=1)
         assert result.fitted.model_version == mapped.model_version + 1
 
-    def test_registry_mmap_mode_serves_identical_labels(
-        self, fitted_and_stream, tmp_path
-    ):
+    def test_registry_load_labels_like_in_memory_model(self, fitted_and_stream, tmp_path):
         fitted, _, stream = fitted_and_stream
         store = tmp_path / "store"
         save_artifacts(fitted, store / "bldg")
-        eager_registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG)
-        mmap_registry = BuildingRegistry(
-            store_dir=store, config=FAST_CONFIG, mmap=True
-        )
-        eager_labels = eager_registry.label("bldg", stream)
-        mmap_labels = mmap_registry.label("bldg", stream)
-        assert eager_labels == mmap_labels
-        assert mmap_registry.stats.loads == 1
+        registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG)
+        labels = registry.label("bldg", stream)
+        assert registry.stats.loads == 1
+        floors, confidences, _ = fitted.online_floors(stream)
+        assert [label.floor for label in labels] == floors.tolist()
+        assert np.allclose([label.confidence for label in labels], confidences)
+
+    def test_mapped_model_survives_overwrite_of_its_artifact(self, fitted_and_stream, tmp_path):
+        # Saves swap a new arrays.bin in by rename and never write into the
+        # old file, so a model mapping an earlier save keeps its pages (no
+        # SIGBUS, no torn arrays) while a fresh load sees the new save.
+        fitted, observed, stream = fitted_and_stream
+        path = save_artifacts(fitted, tmp_path / "model")
+        mapped = load_artifacts(path)
+        before = mapped.online_floors(stream)
+        anchor_id = next(record.record_id for record in observed if record.floor is not None)
+        refit = FisOne(FAST_CONFIG.with_seed(FAST_CONFIG.seed + 1)).fit(observed, anchor_id)
+        save_artifacts(refit, path)
+        after = mapped.online_floors(stream)
+        assert before[0].tobytes() == after[0].tobytes()
+        assert before[1].tobytes() == after[1].tobytes()
+        assert mapped.result.embeddings.tobytes() == fitted.result.embeddings.tobytes()
+        fresh = load_artifacts(path)
+        assert fresh.result.embeddings.tobytes() == refit.result.embeddings.tobytes()
+        assert fresh.result.embeddings.tobytes() != fitted.result.embeddings.tobytes()
 
 
 #: A fit small enough that loading its artifact once per truncation length
@@ -129,8 +143,6 @@ TINY_CONFIG = FisOneConfig(
     inference_sample_sizes=(4, 2),
 )
 
-LOAD_MODES = ["eager", "mmap", "shared"]
-
 
 @pytest.fixture(scope="module")
 def tiny_fitted():
@@ -140,26 +152,6 @@ def tiny_fitted():
     anchor = labeled.pick_labeled_sample(floor=0)
     observed = labeled.strip_labels(keep_record_ids=[anchor.record_id])
     return FisOne(TINY_CONFIG).fit(observed, anchor.record_id)
-
-
-@pytest.fixture
-def load():
-    """``load(path, mode)`` for ``mode`` in :data:`LOAD_MODES`."""
-    stores = []
-
-    def loader(path, mode):
-        if mode != "shared":
-            return load_artifacts(path, mmap=mode == "mmap")
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("needs a POSIX shared-memory filesystem")
-        store = SharedArrayStore(prefix=f"fisone-test-{os.getpid()}-{len(stores)}")
-        stores.append(store)
-        return load_artifacts(path, shared_store=store)
-
-    yield loader
-    for store in stores:
-        store.close()
-        SharedArrayStore.sweep(store.prefix)
 
 
 @pytest.fixture
@@ -208,27 +200,22 @@ def model_arrays(fitted):
 
 
 class TestLoadModes:
-    def test_arrays_aligned_read_only_and_bit_identical(self, tiny_fitted, tmp_path, load):
+    def test_arrays_aligned_read_only_and_bit_identical(self, tiny_fitted, tmp_path):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
-        eager = model_arrays(load(path, "eager"))
-        for mode in LOAD_MODES[1:]:
-            other = model_arrays(load(path, mode))
-            for name, array in eager.items():
-                assert array.dtype == other[name].dtype, (mode, name)
-                assert array.shape == other[name].shape, (mode, name)
-                assert array.tobytes() == other[name].tobytes(), (mode, name)
-        for mode in LOAD_MODES:
-            for name, array in model_arrays(load(path, mode)).items():
-                assert array.flags.aligned, (mode, name)
-                assert not array.flags.writeable, (mode, name)
+        loaded = model_arrays(load_artifacts(path))
+        for name, array in model_arrays(tiny_fitted).items():
+            assert array.dtype == loaded[name].dtype, name
+            assert array.shape == loaded[name].shape, name
+            assert array.tobytes() == loaded[name].tobytes(), name
+            assert loaded[name].flags.aligned, name
+            assert not loaded[name].flags.writeable, name
 
 
 class TestHostileBundles:
     """Malformed ``arrays.bin`` files fail as ArtifactError and unpickle nothing."""
 
-    @pytest.mark.parametrize("mode", ["eager", "mmap"])
     def test_every_truncation_raises_artifact_error(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+        self, tiny_fitted, tmp_path, no_unpickling
     ):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
         arrays_path = path / ARRAYS_FILENAME
@@ -236,11 +223,10 @@ class TestHostileBundles:
         for length in reversed(range(size)):
             os.truncate(arrays_path, length)
             with pytest.raises(ArtifactError, match="unreadable arrays"):
-                load(path, mode)
+                load_artifacts(path)
 
-    @pytest.mark.parametrize("mode", LOAD_MODES)
     def test_garbage_bytes_raise_artifact_error(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+        self, tiny_fitted, tmp_path, no_unpickling
     ):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
         arrays_path = path / ARRAYS_FILENAME
@@ -253,9 +239,8 @@ class TestHostileBundles:
         ):
             arrays_path.write_bytes(blob)
             with pytest.raises(ArtifactError, match="unreadable arrays"):
-                load(path, mode)
+                load_artifacts(path)
 
-    @pytest.mark.parametrize("mode", LOAD_MODES)
     @pytest.mark.parametrize(
         "mutate, reason",
         [
@@ -268,16 +253,15 @@ class TestHostileBundles:
         ids=["object-dtype", "negative-shape", "offset-past-end", "negative-offset", "bad-dtype"],
     )
     def test_hostile_header_raises_artifact_error(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode, mutate, reason
+        self, tiny_fitted, tmp_path, no_unpickling, mutate, reason
     ):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
         rewrite_header(path / ARRAYS_FILENAME, mutate)
         with pytest.raises(ArtifactError, match=f"unreadable arrays.*{reason}"):
-            load(path, mode)
+            load_artifacts(path)
 
-    @pytest.mark.parametrize("mode", LOAD_MODES)
     def test_header_length_past_end_raises_artifact_error(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+        self, tiny_fitted, tmp_path, no_unpickling
     ):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
         arrays_path = path / ARRAYS_FILENAME
@@ -285,11 +269,10 @@ class TestHostileBundles:
         blob[len(MAGIC) : len(MAGIC) + 8] = len(blob).to_bytes(8, "little")
         arrays_path.write_bytes(bytes(blob))
         with pytest.raises(ArtifactError, match="unreadable arrays.*header length"):
-            load(path, mode)
+            load_artifacts(path)
 
-    @pytest.mark.parametrize("mode", LOAD_MODES)
     def test_unparseable_header_raises_artifact_error(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+        self, tiny_fitted, tmp_path, no_unpickling
     ):
         path = save_artifacts(tiny_fitted, tmp_path / "model")
         arrays_path = path / ARRAYS_FILENAME
@@ -297,11 +280,10 @@ class TestHostileBundles:
         blob[len(MAGIC) + 8] = ord("}")
         arrays_path.write_bytes(bytes(blob))
         with pytest.raises(ArtifactError, match="unreadable arrays.*corrupt header"):
-            load(path, mode)
+            load_artifacts(path)
 
-    @pytest.mark.parametrize("mode", ["eager", "mmap"])
     def test_format_version_1_directory_is_rejected(
-        self, tiny_fitted, tmp_path, load, no_unpickling, mode
+        self, tiny_fitted, tmp_path, no_unpickling
     ):
         # A version-1 directory: the same manifest fields, arrays in
         # ``arrays.npz`` and no ``arrays.bin``.
@@ -313,4 +295,4 @@ class TestHostileBundles:
         np.savez(path / "arrays.npz", centroids=tiny_fitted.centroids)
         (path / ARRAYS_FILENAME).unlink()
         with pytest.raises(ArtifactError, match="format version 1"):
-            load(path, mode)
+            load_artifacts(path)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.alias import (
     AliasTables,
     _ROW_SUM_MATCH_BY_DEGREE,
-    _row_sums_match_slice_sums,
     _segment_totals,
 )
 from repro.graph.bipartite import BipartiteGraph

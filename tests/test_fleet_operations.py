@@ -105,7 +105,7 @@ def fleet_submit(fleet):
 def reference_labels(ops_store):
     """Single-process FleetServer labels: the bit-identity ground truth."""
     store, streams = ops_store
-    registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG, mmap=True)
+    registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG)
     with FleetServer(registry) as server:
         responses = serve_sequentially(
             lambda request: server.submit(request.building_id, request.records),

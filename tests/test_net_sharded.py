@@ -18,7 +18,6 @@ import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.config import FisOneConfig
@@ -32,7 +31,7 @@ from repro.serving import (
     ShardSpec,
 )
 from repro.serving import netserver
-from repro.serving.sharded import ConsistentHashRing, ShardDownError, stable_hash64
+from repro.serving.sharded import ConsistentHashRing, ShardDownError
 from repro.serving.transport import (
     OP_ERR,
     OP_LABEL_BATCH,
@@ -126,14 +125,14 @@ def serve_sequentially(submit, requests):
 def reference_labels(net_store):
     """Single-process FleetServer labels: the bit-identity ground truth.
 
-    ``mmap=True`` matches how fleet workers load artifacts: BLAS kernel
-    selection keys off buffer alignment, so a heap-loaded and an mmap'd
-    copy of the same model can score centroids ulps apart.  Bit-identity
-    across topologies requires the same artifact representation on both
-    sides of the comparison.
+    The registry loads the artifacts the way fleet workers do (one mmap
+    per ``arrays.bin``).  BLAS kernel selection keys off buffer alignment,
+    so an in-memory fit and a mapped copy of the same model can score
+    centroids ulps apart; bit-identity across topologies needs the same
+    artifact representation on both sides of the comparison.
     """
     store, streams = net_store
-    registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG, mmap=True)
+    registry = BuildingRegistry(store_dir=store, config=FAST_CONFIG)
     with FleetServer(registry) as server:
         responses = serve_sequentially(
             lambda request: server.submit(request.building_id, request.records),

@@ -416,55 +416,6 @@ class TestFleetTelemetry:
         assert sum(entry["count"] for entry in by_shard.values()) == len(streams)
 
 
-class TestSharedMemoryFleet:
-    """``shared=True``: one physical artifact copy across all workers."""
-
-    def test_labels_identical_and_segments_swept(self, fleet_store):
-        import os
-
-        store, streams = fleet_store
-        traffic = generate_label_traffic(
-            streams,
-            num_requests=12,
-            profile=LoadProfile(batch_size_mix=((3, 0.5), (9, 0.5))),
-            seed=13,
-        )
-        with ShardedFleetServer(
-            store, num_workers=2, config=FAST_CONFIG, shard_capacity=2, shared=True
-        ) as server:
-            prefix = server.shared_prefix
-            assert prefix is not None
-            futures, _ = replay_traffic(server.submit, traffic)
-            shared_labels = [future.result(timeout=120) for future in futures]
-            if os.path.isdir("/dev/shm"):
-                live = [
-                    name
-                    for name in os.listdir("/dev/shm")
-                    if name.startswith(f"{prefix}-")
-                ]
-                assert live, "serving should have published shared bundles"
-        if os.path.isdir("/dev/shm"):
-            leftover = [
-                name for name in os.listdir("/dev/shm") if name.startswith(f"{prefix}-")
-            ]
-            assert leftover == [], "stop() must leave no shared segments behind"
-        with ShardedFleetServer(
-            store, num_workers=2, config=FAST_CONFIG, shard_capacity=2, shared=False
-        ) as server:
-            futures, _ = replay_traffic(server.submit, traffic)
-            private_labels = [future.result(timeout=120) for future in futures]
-        assert label_tuples(shared_labels) == label_tuples(private_labels)
-
-    def test_shared_prefix_is_store_deterministic(self, fleet_store, tmp_path):
-        store, _ = fleet_store
-        first = ShardedFleetServer(store, shared=True)
-        second = ShardedFleetServer(store, shared=True)
-        other = ShardedFleetServer(tmp_path, shared=True)
-        assert first.shared_prefix == second.shared_prefix
-        assert first.shared_prefix != other.shared_prefix
-        assert ShardedFleetServer(store, shared=False).shared_prefix is None
-
-
 def test_replay_traffic_honours_schedule_and_backpressure():
     submitted = []
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.serving.transport import (
     OP_LABEL_BATCH,
     OP_NACK,
     OP_PING,
-    OP_PONG,
     PROTOCOL_VERSION,
     FrameError,
     _WireBatch,
